@@ -24,10 +24,9 @@ from .diversity import CombiningScheme, HopConfig, effective_distribution
 from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
-from .relay import (Combiner, ConvergenceError, LinkScenario, end_to_end_cdf,
-                    end_to_end_cdf_grid)
+from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
 from .scenario import Scenario, ScenarioError, SweepSpec, load_scenario
-from .ser import PskModulation, ser_from_cdf, ser_sweep
+from .ser import PskModulation, ser_from_cdf, ser_sweep, shared_cdf
 
 DEFAULT_SEED = 1729
 DEFAULT_SWEEP_MC_SAMPLES = 100_000
@@ -215,11 +214,12 @@ def cmd_ser_sweep(args) -> int:
         header += ",ser_mc,mc_halfwidth"
     lines.append(header)
 
+    curves = [ser_sweep(link, scenario.modulations, grid, hop1_db, tol)
+              for hop1_db in scenario.hop1_snr_db]
     failed = []
-    for mod in scenario.modulations:
-        for hop1_db in scenario.hop1_snr_db:
-            curve = ser_sweep(link, mod, grid, hop1_db, tol)
-            for point in curve.points:
+    for i, mod in enumerate(scenario.modulations):
+        for hop1_db, per_mod in zip(scenario.hop1_snr_db, curves):
+            for point in per_mod[i].points:
                 row = [scenario.case, mod.label, str(scenario.n_s),
                        str(scenario.n_r), str(scenario.n_d), _fmt_m(scenario),
                        _fmt_num(hop1_db), _fmt_num(point.hop2_snr_db),
@@ -362,10 +362,9 @@ def cmd_validate(args) -> int:
                  f"{deviation:.6f}", f"{limit:.6f}", deviation <= limit))
 
     ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
-    cdf_tol = min(ser_tol / 100.0, 1e-2)
+    cdf = shared_cdf(d1, d2, link.combiner, ser_tol)
     for mod in scenario.modulations:
-        analytical_ser = ser_from_cdf(
-            mod, lambda g: end_to_end_cdf(d1, d2, g, link.combiner, cdf_tol), ser_tol)
+        analytical_ser = ser_from_cdf(mod, cdf, ser_tol)
         estimate, _ = mc_ser(mod, eq)
         label = (f"SER rel. err. {mod.label} @ hop1 {hop1_db:g} dB, "
                  f"hop2 {hop2_db:g} dB")
@@ -441,8 +440,8 @@ def cmd_compare_cases(args) -> int:
                             field="modulations")
 
     links = _case_links(args.n, args.m, combiner)
-    curves = {label: {mod.label: ser_sweep(link, mod, grid, args.hop1_snr_db, tol)
-                      for mod in mods}
+    curves = {label: {mod.label: curve for mod, curve in
+                      zip(mods, ser_sweep(link, mods, grid, args.hop1_snr_db, tol))}
               for label, link in links}
 
     lines = [f"# twohop {__version__} compare-cases",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diversity import effective_distribution
+from .fading import HopDistribution
 from .numerics import DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
 
@@ -31,6 +32,7 @@ __all__ = [
     "ser_from_cdf",
     "ser_direct",
     "ser_sweep",
+    "shared_cdf",
 ]
 
 
@@ -93,23 +95,11 @@ def conditional_sep(mod: PskModulation, snr):
     return out
 
 
-def _eval_cdf(cdf, x: np.ndarray) -> np.ndarray:
-    """Evaluate a CDF callable on an array, accepting scalar-only callables."""
-    try:
-        out = np.asarray(cdf(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(cdf(v)) for v in x])
-
-
 def ser_from_cdf(mod: PskModulation, cdf, tol: float = DEFAULT_SER_TOL) -> float:
     """Average SEP from a CDF callable via the kernel integral.
 
-    ``cdf`` maps linear SNR to probability; it may be vectorized over
-    ndarrays or scalar-only.  Raises ConvergenceError when the quadrature
-    misses ``tol``.
+    ``cdf`` maps an ndarray of linear SNRs to probabilities of the same
+    shape.  Raises ConvergenceError when the quadrature misses ``tol``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -121,7 +111,7 @@ def ser_from_cdf(mod: PskModulation, cdf, tol: float = DEFAULT_SER_TOL) -> float
         live = weight > 0.0
         if live.any():
             u_live = u[live]
-            out[live] = weight[live] * _eval_cdf(cdf, u_live * u_live)
+            out[live] = weight[live] * np.asarray(cdf(u_live * u_live), dtype=float)
         return out
 
     result = integrate_semi_infinite(integrand, 0.0, tol)
@@ -181,15 +171,46 @@ class SerCurve:
     points: tuple[SweepPoint, ...]
 
 
-def ser_sweep(scenario: LinkScenario, mod: PskModulation, hop2_mean_db_grid,
-              hop1_mean_db: float, tol: float = DEFAULT_SER_TOL) -> SerCurve:
+def shared_cdf(d1: HopDistribution, d2: HopDistribution,
+               combiner: Combiner = Combiner.EXACT,
+               ser_tol: float = DEFAULT_SER_TOL):
+    """End-to-end CDF for SER quadratures of tolerance ``ser_tol``, memoized by gamma.
+
+    The CDF runs ``NESTED_TIGHTENING`` times tighter than the SER (at most
+    1e-2).  Every SER integral maps gamma = u^2 onto the same dyadic grid
+    in t, so modulations evaluated at one operating point request many of
+    the same floats; each is computed once, in one batch per request, and
+    a batched value equals the value computed alone.
+    """
+    cdf_tol = min(ser_tol / NESTED_TIGHTENING, 1e-2)
+    memo: dict[float, float] = {}
+
+    def cdf(g):
+        keys = np.asarray(g, dtype=float).reshape(-1).tolist()
+        missing = [k for k in dict.fromkeys(keys) if k not in memo]
+        if missing:
+            values = end_to_end_cdf(d1, d2, np.array(missing), combiner, cdf_tol)
+            memo.update(zip(missing, values.tolist()))
+        return np.array([memo[k] for k in keys]).reshape(np.shape(g))
+
+    return cdf
+
+
+def ser_sweep(scenario: LinkScenario, mods, hop2_mean_db_grid,
+              hop1_mean_db: float, tol: float = DEFAULT_SER_TOL):
     """Analytical SER across hop-2 mean SNRs at a fixed hop-1 mean (both dB).
 
-    The scenario's per-branch means act as placeholders; each sweep point
-    rebuilds the hop laws at the requested means.  Non-convergent points
-    are recorded with converged=False and a NaN value instead of aborting
-    the sweep.
+    ``mods`` is one PskModulation, giving one SerCurve, or a sequence,
+    giving a tuple of SerCurves in the same order; the modulations share
+    one ``shared_cdf`` per sweep point.  The scenario's per-branch means
+    act as placeholders; each sweep point rebuilds the hop laws at the
+    requested means.  Non-convergent points are recorded with
+    converged=False and a NaN value instead of aborting the sweep.
     """
+    single = isinstance(mods, PskModulation)
+    mods = (mods,) if single else tuple(mods)
+    if not mods:
+        raise ValueError("at least one modulation is required")
     grid = np.asarray(hop2_mean_db_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("hop2_mean_db_grid must be a nonempty 1-D sequence")
@@ -198,23 +219,21 @@ def ser_sweep(scenario: LinkScenario, mod: PskModulation, hop2_mean_db_grid,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    cdf_tol = min(tol / NESTED_TIGHTENING, 1e-2)
     d1 = effective_distribution(
         replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0)))
 
-    points = []
+    rows: list[list[SweepPoint]] = [[] for _ in mods]
     for db in grid:
         d2 = effective_distribution(
             replace(scenario.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
-
-        def cdf(g, _d2=d2):
-            return end_to_end_cdf(d1, _d2, g, scenario.combiner, cdf_tol)
-
-        try:
-            value = ser_from_cdf(mod, cdf, tol)
-            points.append(SweepPoint(hop2_snr_db=float(db), ser_analytical=value))
-        except ConvergenceError:
-            points.append(SweepPoint(hop2_snr_db=float(db),
-                                     ser_analytical=math.nan, converged=False))
-    return SerCurve(modulation=mod, hop1_snr_db=float(hop1_mean_db),
-                    points=tuple(points))
+        cdf = shared_cdf(d1, d2, scenario.combiner, tol)
+        for row, mod in zip(rows, mods):
+            try:
+                value = ser_from_cdf(mod, cdf, tol)
+                row.append(SweepPoint(hop2_snr_db=float(db), ser_analytical=value))
+            except ConvergenceError:
+                row.append(SweepPoint(hop2_snr_db=float(db),
+                                      ser_analytical=math.nan, converged=False))
+    curves = tuple(SerCurve(modulation=mod, hop1_snr_db=float(hop1_mean_db),
+                            points=tuple(row)) for mod, row in zip(mods, rows))
+    return curves[0] if single else curves

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twohop.numerics import (
     QuadratureResult,
     gaussian_q,
+    integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
     regularized_lower_gamma,
@@ -123,6 +124,55 @@ def test_distant_mass_needs_matching_scale():
 
     blind = integrate_semi_infinite(bump, 0.0, 1e-9)
     assert (not blind.converged) or abs(blind.value - 1.0) > 0.5
+
+
+BATCH_INTEGRANDS = [
+    (lambda x: x * x, 0.0, 1.0),
+    (np.sin, 0.0, math.pi),
+    (lambda x: 1.0 / (1.0 + 1e4 * x * x), -1.0, 1.0),
+    (lambda x: np.sin(1.0 / x), 1e-3, 1.0),
+    (lambda x: np.exp(-x * x), -3.0, 5.0),
+]
+
+
+def _batched(x, owner):
+    out = np.empty_like(x)
+    for i, (f, _, _) in enumerate(BATCH_INTEGRANDS):
+        mine = owner == i
+        out[mine] = f(x[mine])
+    return out
+
+
+def test_batch_matches_one_integrand_calls_bit_for_bit():
+    lo = [c[1] for c in BATCH_INTEGRANDS]
+    hi = [c[2] for c in BATCH_INTEGRANDS]
+    batch = integrate_batch(_batched, lo, hi, 1e-9, max_intervals=4096)
+    assert batch.converged.all() and not batch.stuck.any()
+    for i, (f, a, b) in enumerate(BATCH_INTEGRANDS):
+        alone = integrate_finite(f, a, b, 1e-9, max_intervals=4096)
+        assert alone.converged
+        assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i]) == (
+            alone.value, alone.error_estimate, alone.evaluations)
+
+
+def test_batch_stops_when_one_integrand_is_stuck():
+    # sin(1/x) near 1e-9 exhausts 64 intervals; x^2 converges at once; the
+    # endpoint singularity is still refining when the batch stops
+    lo, hi = [0.0, 1e-9, 0.0], [1.0, 1.0, 4.0]
+
+    def f(x, owner):
+        return np.choose(owner, [x * x, np.sin(1.0 / x), 1.0 / np.sqrt(x)])
+
+    batch = integrate_batch(f, lo, hi, 1e-12, max_intervals=64)
+    assert batch.converged.tolist() == [True, False, False]
+    assert batch.stuck.tolist() == [False, True, False]
+    stuck = integrate_finite(lambda x: np.sin(1.0 / x), 1e-9, 1.0, 1e-12,
+                             max_intervals=64)
+    assert batch.value[1] == stuck.value
+    assert batch.evaluations[1] == stuck.evaluations
+    unfinished = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 4.0, 1e-12,
+                                  max_intervals=64)
+    assert batch.evaluations[2] <= unfinished.evaluations
 
 
 @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0),

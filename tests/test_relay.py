@@ -138,6 +138,61 @@ def test_unreachable_tolerance_raises_with_best_estimate():
     assert err.error_estimate > 0.0
 
 
+BATCH_LAWS = [
+    (RAYLEIGH_10, RAYLEIGH_10),
+    (GammaSnr(shape=4.0, mean=3.0), MaxGammaSnr(GammaSnr(2.0, 5.0), 3)),
+    (MaxGammaSnr(GammaSnr(0.5, 2.0), 2), GammaSnr(shape=9.0, mean=3.0e6)),
+]
+BATCH_POINTS = np.array([1e-6, 0.05, 0.4, 1.0, 1.3, 4.0, 25.0, 300.0])
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1, d2", BATCH_LAWS)
+def test_array_call_matches_scalar_calls_bit_for_bit(d1, d2, combiner):
+    batch = end_to_end_cdf(d1, d2, BATCH_POINTS, combiner, 1e-9)
+    alone = [end_to_end_cdf(d1, d2, g, combiner, 1e-9) for g in BATCH_POINTS]
+    assert batch.shape == BATCH_POINTS.shape
+    assert batch.tolist() == alone
+    # the batch order does not matter either
+    assert end_to_end_cdf(d1, d2, BATCH_POINTS[::-1], combiner, 1e-9).tolist() == alone[::-1]
+
+
+def test_array_call_shapes_and_zero():
+    value = end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 1.0)
+    assert type(value) is float
+    assert type(end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.float64(1.0))) is float
+    grid = np.array([[0.0, 1.0], [0.0, 5.0]])
+    values = end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, grid)
+    assert values.shape == (2, 2)
+    assert values[0, 0] == 0.0 and values[1, 0] == 0.0
+    assert values[0, 1] == value
+    assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.zeros(3)).tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_array_call_rejects_negative_or_nan_elements(bad):
+    with pytest.raises(ValueError):
+        end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.array([0.5, bad, 2.0]))
+    with pytest.raises(ValueError):
+        end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, bad)
+
+
+def test_one_nonconvergent_element_fails_the_whole_call():
+    # gamma 1e-6 on two 50 dB Rayleigh hops exhausts the interval budget
+    # before it meets the tolerance, while its neighbours converge
+    hop = GammaSnr(shape=1.0, mean=1e5)
+    assert end_to_end_cdf(hop, hop, 1.0) > 0.0
+    with pytest.raises(ConvergenceError) as alone:
+        end_to_end_cdf(hop, hop, 1e-6)
+    with pytest.raises(ConvergenceError) as batch:
+        end_to_end_cdf(hop, hop, np.array([1.0, 1e-6, 3.0]))
+    assert "snr=1e-06" in str(batch.value)
+    assert batch.value.value == alone.value.value
+    assert batch.value.error_estimate == alone.value.error_estimate
+    with pytest.raises(ConvergenceError):
+        end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.array([0.5, 1.0]), tol=1e-30)
+
+
 def test_link_scenario_checks_relay_antennas():
     hop1 = HopConfig(2, 3, 1.0, 1.0, CombiningScheme.STBC_MRC)
     hop2 = HopConfig(2, 2, 1.0, 1.0, CombiningScheme.STBC_MRC)

@@ -151,6 +151,29 @@ def test_sweep_structure():
     assert all(p.converged and p.mc_ser is None for p in curve.points)
 
 
+def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
+    import twohop.ser as ser_module
+
+    requested = []
+
+    def counting_cdf(d1, d2, snr, *args):
+        requested.append(np.size(snr))
+        return end_to_end_cdf(d1, d2, snr, *args)
+
+    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    link = _mimo3_link()
+    grid = np.array([2.0, 9.0])
+    mods = (BPSK, PSK8, PSK16)
+    singles = [ser_sweep(link, mod, grid, 3.0) for mod in mods]
+    single_points = sum(requested)
+    requested.clear()
+    shared = ser_sweep(link, mods, grid, 3.0)
+    assert shared == tuple(singles)
+    assert [p.ser_analytical for c in shared for p in c.points] == [
+        p.ser_analytical for c in singles for p in c.points]
+    assert sum(requested) < single_points
+
+
 def test_sweep_validates_inputs():
     link = _mimo3_link()
     with pytest.raises(ValueError):
@@ -159,6 +182,8 @@ def test_sweep_validates_inputs():
         ser_sweep(link, BPSK, [3.0, 1.0], 3.0)
     with pytest.raises(ValueError):
         ser_sweep(link, BPSK, [0.0, 5.0], 3.0, tol=0.0)
+    with pytest.raises(ValueError):
+        ser_sweep(link, (), [0.0, 5.0], 3.0)
 
 
 def test_sweep_records_failed_points_instead_of_aborting():
