@@ -25,7 +25,8 @@ from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
-from .scenario import Scenario, ScenarioError, SweepSpec, load_scenario
+from .scenario import (Scenario, ScenarioError, check_db, check_fading_figure,
+                       load_scenario, parse_sweep)
 from .ser import PskModulation, ser_from_cdf, ser_sweep, shared_cdf
 
 DEFAULT_SEED = 1729
@@ -131,13 +132,11 @@ def _outer_tol(args, default: float, cap: float | None = None) -> float:
     return tol
 
 
-def _mc_settings(args, scenario: Scenario, default_samples: int):
-    enabled = any(v is not None for v in
-                  (args.seed, args.samples, scenario.mc_seed, scenario.mc_samples))
-    seed = next(v for v in (args.seed, scenario.mc_seed, DEFAULT_SEED)
-                if v is not None)
-    samples = next(v for v in (args.samples, scenario.mc_samples, default_samples)
-                   if v is not None)
+def _mc_settings(args, fallback_seed: int | None,
+                 fallback_samples: int) -> tuple[int, int]:
+    """Checked Monte-Carlo seed and sample count; --seed and --samples win."""
+    seed = next(v for v in (args.seed, fallback_seed, DEFAULT_SEED) if v is not None)
+    samples = args.samples if args.samples is not None else fallback_samples
     if seed < 0:
         raise ScenarioError(f"--seed must be nonnegative, got {seed}", field="seed")
     if samples < 1:
@@ -145,7 +144,7 @@ def _mc_settings(args, scenario: Scenario, default_samples: int):
     if args.threads < 1:
         raise ScenarioError(f"--threads must be >= 1, got {args.threads}",
                             field="threads")
-    return enabled, seed, samples
+    return seed, samples
 
 
 def _fmt_prob(x: float, full: bool = False) -> str:
@@ -195,7 +194,10 @@ def _write(lines: list[str], out: str | None) -> None:
 def cmd_ser_sweep(args) -> int:
     scenario = _load(args)
     tol = _outer_tol(args, DEFAULT_SER_TOL)
-    use_mc, seed, samples = _mc_settings(args, scenario, DEFAULT_SWEEP_MC_SAMPLES)
+    use_mc = any(v is not None for v in
+                 (args.seed, args.samples, scenario.mc_seed, scenario.mc_samples))
+    seed, samples = _mc_settings(args, scenario.mc_seed,
+                                 scenario.mc_samples or DEFAULT_SWEEP_MC_SAMPLES)
     grid = scenario.sweep.values()
     link = scenario.link()
 
@@ -203,9 +205,10 @@ def cmd_ser_sweep(args) -> int:
     if use_mc:
         run = McRun(seed, samples, args.threads)
         for hop1_db in scenario.hop1_snr_db:
-            for db, eq in sweep_eq_samples(link, grid, hop1_db, run):
-                for mod in scenario.modulations:
-                    mc_table[(mod.label, hop1_db, db)] = mc_ser(mod, eq)
+            for db, estimates in sweep_eq_samples(link, scenario.modulations, grid,
+                                                  hop1_db, run):
+                for mod, estimate in zip(scenario.modulations, estimates):
+                    mc_table[(mod.label, hop1_db, db)] = estimate
 
     lines = _meta("ser-sweep", scenario, tol,
                   seed if use_mc else None, samples if use_mc else None)
@@ -280,7 +283,8 @@ def _parse_grid(spec: str | None, eq_samples: np.ndarray) -> np.ndarray:
 def cmd_cdf(args) -> int:
     scenario = _load(args)
     tol = _outer_tol(args, DEFAULT_CDF_TOL, cap=1e-2)
-    _, seed, samples = _mc_settings(args, scenario, DEFAULT_CDF_MC_SAMPLES)
+    seed, samples = _mc_settings(args, scenario.mc_seed,
+                                 scenario.mc_samples or DEFAULT_CDF_MC_SAMPLES)
     hop1_db = scenario.hop1_snr_db[0]
     link = scenario.link_at(hop1_db, scenario.hop2_snr_db)
     d1 = effective_distribution(link.hop1)
@@ -322,17 +326,9 @@ def _scaled(base: float, n: int, reference: int) -> float:
 def cmd_validate(args) -> int:
     scenario = _load(args)
     tol = _outer_tol(args, DEFAULT_CDF_TOL, cap=1e-2)
-    seed = args.seed if args.seed is not None else (
-        scenario.mc_seed if scenario.mc_seed is not None else DEFAULT_SEED)
+    # validate sizes its runs by its own defaults, not by the scenario's mc_samples
+    seed, n_big = _mc_settings(args, scenario.mc_seed, VALIDATE_CDF_SAMPLES)
     n_ks = args.samples if args.samples is not None else VALIDATE_KS_SAMPLES
-    n_big = args.samples if args.samples is not None else VALIDATE_CDF_SAMPLES
-    if seed < 0:
-        raise ScenarioError(f"--seed must be nonnegative, got {seed}", field="seed")
-    if n_ks < 1:
-        raise ScenarioError(f"--samples must be >= 1, got {n_ks}", field="samples")
-    if args.threads < 1:
-        raise ScenarioError(f"--threads must be >= 1, got {args.threads}",
-                            field="threads")
 
     hop1_db = scenario.hop1_snr_db[0]
     hop2_db = scenario.hop2_snr_db
@@ -405,31 +401,14 @@ def _case_links(n: int, m: float, combiner: Combiner) -> list[tuple[str, LinkSce
     return [("MIMO_MIMO", mimo), ("MISO_SIMO", miso_simo), ("SIMO_MISO", simo_miso)]
 
 
-def _parse_sweep_arg(raw: str) -> SweepSpec:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ScenarioError(f"--sweep must be start:stop:step, got {raw!r}",
-                            field="sweep")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ScenarioError(f"--sweep must contain numbers, got {raw!r}",
-                            field="sweep") from None
-    if step <= 0 or stop < start:
-        raise ScenarioError(f"--sweep needs stop >= start and step > 0, got {raw!r}",
-                            field="sweep")
-    return SweepSpec(start, stop, step)
-
-
 def cmd_compare_cases(args) -> int:
     if args.n < 1:
         raise ScenarioError(f"--n must be >= 1, got {args.n}", field="n")
-    if not args.m >= 0.5:
-        raise ScenarioError(f"--m must be >= 0.5, got {args.m}", field="m")
+    check_fading_figure(args.m, "m")
+    check_db(args.hop1_snr_db, "hop1_snr_db")
     tol = _outer_tol(args, DEFAULT_SER_TOL)
     combiner = Combiner(args.combiner) if args.combiner else Combiner.EXACT
-    sweep = _parse_sweep_arg(args.sweep)
-    grid = sweep.values()
+    grid = parse_sweep(args.sweep, "sweep").values()
     try:
         mods = tuple(PskModulation.from_label(t)
                      for t in args.modulations.split(",") if t.strip())

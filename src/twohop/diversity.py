@@ -14,6 +14,7 @@ and are therefore spelled out):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,11 +53,11 @@ class HopConfig:
             count = getattr(self, name)
             if int(count) != count or count < 1:
                 raise ValueError(f"{name} must be a positive integer, got {count}")
-        if not self.m >= 0.5:
-            raise ValueError(f"m must be >= 0.5, got {self.m}")
-        if not self.mean_branch_snr > 0:
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 0.5, got {self.m}")
+        if not 0 < self.mean_branch_snr < math.inf:
             raise ValueError(
-                f"mean_branch_snr must be positive, got {self.mean_branch_snr}")
+                f"mean_branch_snr must be positive and finite, got {self.mean_branch_snr}")
         if self.scheme is CombiningScheme.MRC and self.n_tx != 1:
             raise ValueError("MRC hop requires n_tx = 1")
         if self.scheme is CombiningScheme.STBC and self.n_rx != 1:

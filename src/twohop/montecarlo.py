@@ -3,12 +3,14 @@
 Sampling is organized in fixed-size chunks; chunk i draws from a fresh
 generator seeded by SeedSequence((master_seed, stream, i)).  Workers only
 decide which chunks they execute, never what those chunks produce, and
-results land in chunk-indexed slots of the output array — so every
-estimate is bitwise identical for any worker_count.
+results land in chunk-indexed slots (samples in an output array, SER
+moments in a list merged in chunk order) — so every estimate is bitwise
+identical for any worker_count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -58,23 +60,24 @@ def _chunk_rng(master_seed: int, stream: int, index: int) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _map_chunks(run: McRun, job) -> list:
+    """[job(index, start, stop) for every chunk], in chunk order for any worker count."""
+    spans = [(i, start, min(start + _CHUNK, run.n_samples))
+             for i, start in enumerate(range(0, run.n_samples, _CHUNK))]
+    if run.worker_count == 1 or len(spans) == 1:
+        return [job(*span) for span in spans]
+    with ThreadPoolExecutor(max_workers=min(run.worker_count, len(spans))) as pool:
+        return list(pool.map(lambda span: job(*span), spans))
+
+
 def _run_chunked(run: McRun, stream: int, compute) -> np.ndarray:
     """Fill an n_samples array chunk by chunk; layout independent of workers."""
     out = np.empty(run.n_samples, dtype=float)
-    spans = [(i, start, min(start + _CHUNK, run.n_samples))
-             for i, start in enumerate(range(0, run.n_samples, _CHUNK))]
 
-    def fill(span):
-        index, start, stop = span
-        rng = _chunk_rng(run.master_seed, stream, index)
-        out[start:stop] = compute(rng, stop - start)
+    def fill(index, start, stop):
+        out[start:stop] = compute(_chunk_rng(run.master_seed, stream, index), stop - start)
 
-    if run.worker_count == 1 or len(spans) == 1:
-        for span in spans:
-            fill(span)
-    else:
-        with ThreadPoolExecutor(max_workers=run.worker_count) as pool:
-            list(pool.map(fill, spans))
+    _map_chunks(run, fill)
     return out
 
 
@@ -127,19 +130,60 @@ def mc_ser(mod: PskModulation, eq_samples) -> tuple[float, float]:
     return estimate, halfwidth
 
 
-def sweep_eq_samples(scenario: LinkScenario, hop2_mean_db_grid,
-                     hop1_mean_db: float, run: McRun):
-    """Yield (hop2_db, equivalent-SNR samples) per sweep point, drawing each hop once.
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk."""
+    mean = float(values.mean())
+    d = values - mean
+    # An elementwise sum, not d @ d: a BLAS dot inside the worker threads
+    # starts BLAS threads of its own and oversubscribes the cores.
+    return values.size, mean, float((d * d).sum())
 
-    The effective hop SNR scales linearly with the per-branch mean for
-    every scheme (sums and maxima are 1-homogeneous), so the hop-2 draw at
-    unit mean is rescaled per point instead of resampled.  Points share a
-    common random base, which removes sampling jitter between them.
+
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """Pairwise update of (count, mean, M2) (Chan, Golub & LeVeque 1983)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def sweep_eq_samples(scenario: LinkScenario, mods, hop2_mean_db_grid,
+                     hop1_mean_db: float, run: McRun):
+    """Yield (hop2_db, ((estimate, halfwidth), ...) in ``mods`` order) per sweep point.
+
+    Each value is ``mc_ser`` of that point's equivalent-SNR samples,
+    computed in one streamed pass.  The effective hop SNR scales linearly
+    with the per-branch mean for every scheme (sums and maxima are
+    1-homogeneous), so each chunk draws hop 1 and a unit-mean hop 2 once
+    and rescales hop 2 per point; points share a common random base, which
+    removes sampling jitter between them.  A chunk job turns its draws
+    into SEP moments for every point and modulation, and the moments are
+    merged in chunk order, so memory is O(workers x chunk), not
+    O(points x n_samples).
     """
+    mods = tuple(mods)
+    grid = np.asarray(hop2_mean_db_grid, dtype=float)
     hop1 = replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0))
-    g1 = simulate_hop(hop1, run, stream=_LINK_STREAM_HOP1)
-    base2 = simulate_hop(replace(scenario.hop2, mean_branch_snr=1.0), run,
-                         stream=_LINK_STREAM_HOP2)
-    for db in np.asarray(hop2_mean_db_grid, dtype=float):
-        scale = 10.0 ** (db / 10.0)
-        yield float(db), equivalent_snr(g1, base2 * scale, scenario.combiner)
+    hop2 = replace(scenario.hop2, mean_branch_snr=1.0)
+    scales = [10.0 ** (db / 10.0) for db in grid]
+
+    def chunk(index, start, stop):
+        g1 = _hop_chunk(hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
+                        stop - start)
+        base2 = _hop_chunk(hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
+                           stop - start)
+        moments = []
+        for scale in scales:
+            eq = equivalent_snr(g1, base2 * scale, scenario.combiner)
+            moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
+        return moments
+
+    per_chunk = _map_chunks(run, chunk)
+    for j, db in enumerate(grid):
+        estimates = []
+        for k in range(len(mods)):
+            n, mean, m2 = functools.reduce(_merge, (c[j][k] for c in per_chunk))
+            halfwidth = 1.96 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+            estimates.append((mean, halfwidth))
+        yield float(db), tuple(estimates)

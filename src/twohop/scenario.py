@@ -45,6 +45,9 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "load_scenario",
+    "parse_sweep",
+    "check_db",
+    "check_fading_figure",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -126,6 +129,47 @@ class Scenario:
             self.combiner)
 
 
+def check_db(db: float, field: str) -> float:
+    """``db`` unchanged if its linear value is finite and positive."""
+    try:
+        linear = db_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not (math.isfinite(linear) and linear > 0):
+        raise ScenarioError(f"{field} must be a dB value with a finite, positive "
+                            f"linear mean, got {db!r}", field=field)
+    return db
+
+
+def check_fading_figure(m: float, field: str) -> float:
+    """``m`` unchanged if it is finite and >= 0.5."""
+    if not (math.isfinite(m) and m >= 0.5):
+        raise ScenarioError(f"fading figure must be finite and >= 0.5, got {m}",
+                            field=field)
+    return m
+
+
+def parse_sweep(raw: str, field: str) -> SweepSpec:
+    """``start:stop:step`` in dB; both ends must pass ``check_db``."""
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ScenarioError(f"{field} must look like start:stop:step, got {raw!r}",
+                            field=field)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ScenarioError(f"{field} must contain numbers, got {raw!r}",
+                            field=field) from None
+    if not (math.isfinite(step) and step > 0):
+        raise ScenarioError(f"{field} step must be positive and finite, got {step}",
+                            field=field)
+    check_db(start, field)
+    check_db(stop, field)
+    if stop < start:
+        raise ScenarioError(f"{field} stop must be >= start, got {raw!r}", field=field)
+    return SweepSpec(start_db=start, stop_db=stop, step_db=step)
+
+
 def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
     pairs: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -165,9 +209,7 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     m1 = _get_float(pairs, "hop1_m", default=m_shared)
     m2 = _get_float(pairs, "hop2_m", default=m_shared)
     for field, m in (("hop1_m", m1), ("hop2_m", m2)):
-        if not m >= 0.5:
-            raise ScenarioError(f"fading figure must be >= 0.5, got {m}",
-                                field=field if field in pairs else "m")
+        check_fading_figure(m, field if field in pairs else "m")
 
     if case == "CUSTOM":
         hop1 = _custom_hop(pairs, "hop1", m1)
@@ -200,10 +242,15 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
             hop1 = _hop(1, n_r, m1, CombiningScheme.MRC, "n_r")
             hop2 = _hop(n_r, 1, m2, CombiningScheme.STBC, "n_r")
 
-    hop1_snr_db = _get_float_list(pairs, "hop1_snr_db")
-    sweep = _get_sweep(pairs, "hop2_sweep_db")
-    hop2_snr_db = _get_float(pairs, "hop2_snr_db",
-                             default=0.5 * (sweep.start_db + sweep.stop_db))
+    hop1_snr_db = tuple(check_db(db, "hop1_snr_db")
+                        for db in _get_float_list(pairs, "hop1_snr_db"))
+    raw_sweep = pairs.get("hop2_sweep_db")
+    if raw_sweep is None:
+        raise ScenarioError("missing required key 'hop2_sweep_db'", field="hop2_sweep_db")
+    sweep = parse_sweep(raw_sweep, "hop2_sweep_db")
+    hop2_snr_db = check_db(_get_float(pairs, "hop2_snr_db",
+                                      default=0.5 * (sweep.start_db + sweep.stop_db)),
+                           "hop2_snr_db")
     modulations = _get_modulations(pairs)
     combiner = _get_combiner(pairs)
     mc_seed = _get_optional_int(pairs, "mc_seed", minimum=0)
@@ -300,26 +347,6 @@ def _get_float_list(pairs, key) -> tuple[float, ...]:
     except ValueError:
         raise ScenarioError(f"{key} must be a comma-separated list of numbers, "
                             f"got {raw!r}", field=key) from None
-
-
-def _get_sweep(pairs, key) -> SweepSpec:
-    raw = pairs.get(key)
-    if raw is None:
-        raise ScenarioError(f"missing required key {key!r}", field=key)
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ScenarioError(f"{key} must look like start:stop:step, got {raw!r}",
-                            field=key)
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ScenarioError(f"{key} must contain numbers, got {raw!r}",
-                            field=key) from None
-    if step <= 0:
-        raise ScenarioError(f"{key} step must be positive, got {step}", field=key)
-    if stop < start:
-        raise ScenarioError(f"{key} stop must be >= start, got {raw!r}", field=key)
-    return SweepSpec(start_db=start, stop_db=stop, step_db=step)
 
 
 def _get_modulations(pairs) -> tuple[PskModulation, ...]:

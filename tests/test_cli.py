@@ -9,6 +9,7 @@ import io
 import subprocess
 import sys
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,43 @@ def test_compare_cases_flag_validation(argv, field):
     assert "invalid configuration" in err and field in err
 
 
+_MINI = {"case": "MIMO_MIMO", "n_s": "2", "n_r": "2", "n_d": "2",
+         "hop1_snr_db": "3", "hop2_sweep_db": "0:4:2", "modulations": "BPSK"}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(hop1_snr_db="nan"), "hop1_snr_db"),
+    (dict(hop1_snr_db="1e9"), "hop1_snr_db"),
+    (dict(hop1_snr_db="3,-1e9"), "hop1_snr_db"),    # linear mean underflows to 0
+    (dict(m="inf"), "m"),
+    (dict(hop1_m="inf"), "hop1_m"),
+    (dict(hop2_m="nan"), "hop2_m"),
+    (dict(hop2_sweep_db="0:1e9:1e9"), "hop2_sweep_db"),
+    (dict(hop2_sweep_db="nan:4:2"), "hop2_sweep_db"),
+    (dict(hop2_sweep_db="0:4:inf"), "hop2_sweep_db"),
+    (dict(hop2_snr_db="inf"), "hop2_snr_db"),
+], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
+def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**_MINI, **overrides}.items()),
+                    encoding="utf-8")
+    code, err = run_main(["ser-sweep", "--scenario", str(path)])
+    assert code == 2
+    assert f"(field: {field})" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--hop1-snr-db", "nan"], "hop1_snr_db"),
+    (["--hop1-snr-db", "1e9"], "hop1_snr_db"),
+    (["--m", "inf"], "m"),
+    (["--sweep", "0:1e9:1e9"], "sweep"),
+], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
+def test_non_finite_compare_cases_flags_exit_two(flags, field):
+    code, err = run_main(["compare-cases", "--n", "2"] + flags)
+    assert code == 2
+    assert f"(field: {field})" in err
+
+
 def test_common_flag_and_file_errors(mini_path, tmp_path):
     code, err = run_main(["ser-sweep", "--scenario", "/no/such/file.scenario"])
     assert code == 2 and "twohop:" in err
@@ -317,3 +355,14 @@ def test_executable_module_interface(mini_path):
     assert table.returncode == 0
     assert table.stdout.startswith("# twohop ")
     assert "gamma,cdf_analytical,cdf_mc" in table.stdout
+
+
+def test_threads_never_change_golden_bytes(tmp_path):
+    """200k samples span four chunks, so three workers really interleave."""
+    root = Path(__file__).resolve().parent
+    out = tmp_path / "sweep.csv"
+    code, _ = run_main(["ser-sweep", "--scenario",
+                        str(root.parent / "scenarios" / "mimo_n3.scenario"),
+                        "--threads", "3", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (root / "golden" / "ser-sweep__mimo_n3.csv").read_bytes()

@@ -1,5 +1,7 @@
 """Per-hop combining schemes and their effective SNR laws."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,9 @@ def test_config_validation():
         HopConfig(1, 1, 0.25, 1.0, CombiningScheme.MRC)  # m below 0.5
     with pytest.raises(ValueError):
         HopConfig(1, 1, 1.0, 0.0, CombiningScheme.MRC)
+    for m, mean in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            HopConfig(1, 1, m, mean, CombiningScheme.MRC)  # not finite
     with pytest.raises(ValueError):
         HopConfig(2, 1, 1.0, 1.0, CombiningScheme.MRC)  # MRC is receive-side
     with pytest.raises(ValueError):
