@@ -8,37 +8,3 @@ simulator provides an independent cross-check for every analytical path.
 """
 
 __version__ = "0.1.0"
-
-from .diversity import (CombiningScheme, HopConfig, effective_distribution,
-                        mimo_effective, mrc_effective, stbc_effective,
-                        tas_effective)
-from .fading import GammaSnr, HopDistribution, MaxGammaSnr, from_nakagami
-from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
-                         simulate_hop, sweep_eq_samples)
-from .numerics import (DEFAULT_CDF_TOL, DEFAULT_SER_TOL, QuadratureResult,
-                       gaussian_q, integrate_finite, integrate_semi_infinite,
-                       regularized_lower_gamma)
-from .relay import (Combiner, ConvergenceError, LinkScenario, end_to_end_cdf,
-                    end_to_end_cdf_grid, equivalent_snr)
-from .scenario import (Scenario, ScenarioError, SweepSpec, db_to_linear,
-                       linear_to_db, load_scenario, parse_scenario)
-from .ser import (PskModulation, SerCurve, SweepPoint, conditional_sep,
-                  ser_direct, ser_from_cdf, ser_sweep)
-
-__all__ = [
-    "__version__",
-    "CombiningScheme", "HopConfig", "effective_distribution",
-    "mrc_effective", "stbc_effective", "mimo_effective", "tas_effective",
-    "GammaSnr", "MaxGammaSnr", "HopDistribution", "from_nakagami",
-    "McRun", "simulate_hop", "simulate_end_to_end", "empirical_cdf",
-    "mc_ser", "sweep_eq_samples",
-    "QuadratureResult", "integrate_finite", "integrate_semi_infinite",
-    "gaussian_q", "regularized_lower_gamma",
-    "DEFAULT_CDF_TOL", "DEFAULT_SER_TOL",
-    "Combiner", "ConvergenceError", "LinkScenario", "equivalent_snr",
-    "end_to_end_cdf", "end_to_end_cdf_grid",
-    "Scenario", "ScenarioError", "SweepSpec", "parse_scenario",
-    "load_scenario", "db_to_linear", "linear_to_db",
-    "PskModulation", "SerCurve", "SweepPoint", "conditional_sep",
-    "ser_from_cdf", "ser_direct", "ser_sweep",
-]

@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diversity import CombiningScheme, HopConfig, effective_distribution
+from .diversity import effective_distribution
 from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
-from .scenario import (Scenario, ScenarioError, check_db, check_fading_figure,
-                       load_scenario, parse_sweep)
-from .ser import PskModulation, ser_from_cdf, ser_sweep, shared_cdf
+from .scenario import (MAX_SWEEP_POINTS, Scenario, ScenarioError, check_db,
+                       check_fading_figure, load_scenario, parse_modulations,
+                       parse_sweep, placement_hops)
+from .ser import ser_from_cdf, ser_sweep, shared_cdf
 
 DEFAULT_SEED = 1729
 DEFAULT_SWEEP_MC_SAMPLES = 100_000
@@ -200,15 +201,14 @@ def cmd_ser_sweep(args) -> int:
                                  scenario.mc_samples or DEFAULT_SWEEP_MC_SAMPLES)
     grid = scenario.sweep.values()
     link = scenario.link()
+    mods = scenario.modulations
 
-    mc_table: dict[tuple[str, float, float], tuple[float, float]] = {}
+    # mc[k][j][i]: (estimate, halfwidth) at hop1_snr_db[k], grid[j], mods[i]
+    mc = []
     if use_mc:
         run = McRun(seed, samples, args.threads)
-        for hop1_db in scenario.hop1_snr_db:
-            for db, estimates in sweep_eq_samples(link, scenario.modulations, grid,
-                                                  hop1_db, run):
-                for mod, estimate in zip(scenario.modulations, estimates):
-                    mc_table[(mod.label, hop1_db, db)] = estimate
+        mc = [[est for _, est in sweep_eq_samples(link, mods, grid, hop1_db, run)]
+              for hop1_db in scenario.hop1_snr_db]
 
     lines = _meta("ser-sweep", scenario, tol,
                   seed if use_mc else None, samples if use_mc else None)
@@ -217,23 +217,21 @@ def cmd_ser_sweep(args) -> int:
         header += ",ser_mc,mc_halfwidth"
     lines.append(header)
 
-    curves = [ser_sweep(link, scenario.modulations, grid, hop1_db, tol)
-              for hop1_db in scenario.hop1_snr_db]
+    ser = [ser_sweep(link, mods, grid, hop1_db, tol) for hop1_db in scenario.hop1_snr_db]
     failed = []
-    for i, mod in enumerate(scenario.modulations):
-        for hop1_db, per_mod in zip(scenario.hop1_snr_db, curves):
-            for point in per_mod[i].points:
+    for i, mod in enumerate(mods):
+        for k, hop1_db in enumerate(scenario.hop1_snr_db):
+            for j, db in enumerate(grid.tolist()):
+                value = float(ser[k][i, j])
                 row = [scenario.case, mod.label, str(scenario.n_s),
                        str(scenario.n_r), str(scenario.n_d), _fmt_m(scenario),
-                       _fmt_num(hop1_db), _fmt_num(point.hop2_snr_db),
-                       _fmt_prob(point.ser_analytical, args.full_precision)]
+                       _fmt_num(hop1_db), _fmt_num(db),
+                       _fmt_prob(value, args.full_precision)]
                 if use_mc:
-                    est, hw = mc_table[(mod.label, hop1_db, point.hop2_snr_db)]
-                    row.append(_fmt_prob(est, args.full_precision))
-                    row.append(_fmt_prob(hw, args.full_precision))
+                    row.extend(_fmt_prob(x, args.full_precision) for x in mc[k][j][i])
                 lines.append(",".join(row))
-                if not point.converged:
-                    failed.append((mod.label, hop1_db, point.hop2_snr_db))
+                if math.isnan(value):
+                    failed.append((mod.label, hop1_db, db))
 
     _write(lines, args.out)
     if failed:
@@ -247,10 +245,10 @@ def cmd_ser_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # cdf
 
-def _parse_grid(spec: str | None, eq_samples: np.ndarray) -> np.ndarray:
+def _parse_grid(spec: str | None) -> np.ndarray | None:
+    """The --grid points, or None when the flag is absent."""
     if spec is None:
-        hi = float(np.quantile(eq_samples, 0.999))
-        return np.linspace(0.0, hi, 50)
+        return None
     raw = spec.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -263,19 +261,21 @@ def _parse_grid(spec: str | None, eq_samples: np.ndarray) -> np.ndarray:
         except ValueError:
             raise ScenarioError(f"--grid must contain numbers, got {spec!r}",
                                 field="grid") from None
-        if count < 1 or hi < lo or lo < 0:
-            raise ScenarioError(f"--grid needs 0 <= lo <= hi and count >= 1, "
-                                f"got {spec!r}", field="grid")
+        if not (1 <= count <= MAX_SWEEP_POINTS and 0 <= lo <= hi < math.inf):
+            raise ScenarioError(f"--grid needs 0 <= lo <= hi < inf and 1 <= count <= "
+                                f"{MAX_SWEEP_POINTS}, got {spec!r}", field="grid")
         return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
     try:
         points = np.array([float(t) for t in raw.split(",") if t.strip()])
     except ValueError:
         raise ScenarioError(f"--grid must be lo:hi:count or a comma list, "
                             f"got {spec!r}", field="grid") from None
-    if points.size == 0:
-        raise ScenarioError("--grid is empty", field="grid")
-    if np.any(points < 0) or (points.size > 1 and not np.all(np.diff(points) > 0)):
-        raise ScenarioError("--grid must be nonnegative and strictly increasing",
+    if not 0 < points.size <= MAX_SWEEP_POINTS:
+        raise ScenarioError(f"--grid needs 1 to {MAX_SWEEP_POINTS} points, "
+                            f"got {points.size}", field="grid")
+    if (not np.all(np.isfinite(points) & (points >= 0))
+            or (points.size > 1 and not np.all(np.diff(points) > 0))):
+        raise ScenarioError("--grid must be finite, nonnegative and strictly increasing",
                             field="grid")
     return points
 
@@ -285,13 +285,15 @@ def cmd_cdf(args) -> int:
     tol = _outer_tol(args, DEFAULT_CDF_TOL, cap=1e-2)
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_CDF_MC_SAMPLES)
+    grid = _parse_grid(args.grid)
     hop1_db = scenario.hop1_snr_db[0]
     link = scenario.link_at(hop1_db, scenario.hop2_snr_db)
     d1 = effective_distribution(link.hop1)
     d2 = effective_distribution(link.hop2)
 
     eq = simulate_end_to_end(link, McRun(seed, samples, args.threads))
-    grid = _parse_grid(args.grid, eq)
+    if grid is None:
+        grid = np.linspace(0.0, float(np.quantile(eq, 0.999)), 50)
     analytical = end_to_end_cdf_grid(d1, d2, grid, link.combiner, tol)
     empirical = empirical_cdf(eq, grid)
 
@@ -389,16 +391,10 @@ def cmd_validate(args) -> int:
 # compare-cases
 
 def _case_links(n: int, m: float, combiner: Combiner) -> list[tuple[str, LinkScenario]]:
-    mimo = LinkScenario(
-        HopConfig(n, n, m, 1.0, CombiningScheme.STBC_MRC),
-        HopConfig(n, n, m, 1.0, CombiningScheme.STBC_MRC), combiner)
-    miso_simo = LinkScenario(
-        HopConfig(n, 1, m, 1.0, CombiningScheme.STBC),
-        HopConfig(1, n, m, 1.0, CombiningScheme.MRC), combiner)
-    simo_miso = LinkScenario(
-        HopConfig(1, n, m, 1.0, CombiningScheme.MRC),
-        HopConfig(n, 1, m, 1.0, CombiningScheme.STBC), combiner)
-    return [("MIMO_MIMO", mimo), ("MISO_SIMO", miso_simo), ("SIMO_MISO", simo_miso)]
+    """The three antenna placements with n antennas at each populated node."""
+    counts = {"MIMO_MIMO": (n, n, n), "MISO_SIMO": (n, 1, n), "SIMO_MISO": (1, n, 1)}
+    return [(case, LinkScenario(*placement_hops(case, *c, m, m), combiner))
+            for case, c in counts.items()]
 
 
 def cmd_compare_cases(args) -> int:
@@ -409,19 +405,13 @@ def cmd_compare_cases(args) -> int:
     tol = _outer_tol(args, DEFAULT_SER_TOL)
     combiner = Combiner(args.combiner) if args.combiner else Combiner.EXACT
     grid = parse_sweep(args.sweep, "sweep").values()
-    try:
-        mods = tuple(PskModulation.from_label(t)
-                     for t in args.modulations.split(",") if t.strip())
-    except ValueError as exc:
-        raise ScenarioError(str(exc), field="modulations") from exc
-    if not mods:
-        raise ScenarioError("--modulations must list at least one modulation",
-                            field="modulations")
+    mods = parse_modulations(args.modulations, "modulations")
 
     links = _case_links(args.n, args.m, combiner)
-    curves = {label: {mod.label: curve for mod, curve in
-                      zip(mods, ser_sweep(link, mods, grid, args.hop1_snr_db, tol))}
-              for label, link in links}
+    cases = [label for label, _ in links]
+    # ser[c, i, j]: case c, modulation i, sweep point j
+    ser = np.stack([ser_sweep(link, mods, grid, args.hop1_snr_db, tol)
+                    for _, link in links])
 
     lines = [f"# twohop {__version__} compare-cases",
              f"# n: {args.n}  m: {args.m:g}  hop1_snr_db: {args.hop1_snr_db:g}  "
@@ -432,20 +422,18 @@ def cmd_compare_cases(args) -> int:
 
     failed = []
     orderings = []
-    for mod in mods:
-        per_case = [curves[label][mod.label] for label, _ in links]
-        for i, db in enumerate(grid):
-            values = [c.points[i].ser_analytical for c in per_case]
+    for i, mod in enumerate(mods):
+        for j, db in enumerate(grid.tolist()):
+            values = ser[:, i, j].tolist()
             lines.append(",".join(
-                [mod.label, _fmt_num(args.hop1_snr_db), _fmt_num(float(db))]
+                [mod.label, _fmt_num(args.hop1_snr_db), _fmt_num(db)]
                 + [_fmt_prob(v, args.full_precision) for v in values]))
-            for (label, _), curve in zip(links, per_case):
-                if not curve.points[i].converged:
-                    failed.append((mod.label, label, float(db)))
-            if any(not math.isfinite(v) for v in values):
+            failed.extend((mod.label, case, db)
+                          for case, v in zip(cases, values) if math.isnan(v))
+            if any(math.isnan(v) for v in values):
                 orderings.append(f"# ordering {mod.label} @ {db:g} dB: not converged")
                 continue
-            order = sorted(zip(values, (label for label, _ in links)))
+            order = sorted(zip(values, cases))
             parts = [order[0][1]]
             for (prev, _), (value, label) in zip(order, order[1:]):
                 close = abs(value - prev) <= 1e-12 * max(abs(value), abs(prev), 1e-300)

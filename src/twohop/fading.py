@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import integrate_semi_infinite, regularized_lower_gamma
+from .numerics import regularized_lower_gamma
 
 __all__ = ["GammaSnr", "MaxGammaSnr", "HopDistribution", "from_nakagami"]
 
@@ -100,13 +100,6 @@ class MaxGammaSnr:
         if int(self.candidates) != self.candidates or self.candidates < 1:
             raise ValueError(
                 f"candidates must be a positive integer, got {self.candidates}")
-
-    @property
-    def mean(self) -> float:
-        """E[max], computed as the integral of the survival function."""
-        result = integrate_semi_infinite(lambda g: 1.0 - self.cdf(g), 0.0, 1e-10,
-                                         scale=self.base.mean)
-        return result.value
 
     def cdf(self, snr):
         values, scalar = _as_array(snr)

@@ -46,14 +46,25 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "parse_sweep",
+    "parse_modulations",
+    "placement_hops",
     "check_db",
     "check_fading_figure",
     "db_to_linear",
     "linear_to_db",
 ]
 
-_CASES = ("MIMO_MIMO", "MISO_SIMO", "SIMO_MISO", "CUSTOM")
-_ALLOWED_MODULATIONS = ("BPSK", "PSK8", "PSK16")
+# Named antenna placement -> (hop-1 scheme, hop-2 scheme, node counts that
+# must be 1): MRC needs one transmit antenna, STBC one receive antenna.
+_PLACEMENTS = {
+    "MIMO_MIMO": (CombiningScheme.STBC_MRC, CombiningScheme.STBC_MRC, ()),
+    "MISO_SIMO": (CombiningScheme.STBC, CombiningScheme.MRC, ("n_r",)),
+    "SIMO_MISO": (CombiningScheme.MRC, CombiningScheme.STBC, ("n_s", "n_d")),
+}
+_CASES = (*_PLACEMENTS, "CUSTOM")
+_MODULATIONS = ("BPSK", "PSK8", "PSK16")
+# Largest number of points a sweep or a CDF grid may ask for.
+MAX_SWEEP_POINTS = 10_000
 _COMMON_KEYS = {
     "name", "case", "m", "hop1_m", "hop2_m", "hop1_snr_db", "hop2_sweep_db",
     "hop2_snr_db", "modulations", "combiner", "mc_seed", "mc_samples",
@@ -85,9 +96,14 @@ class SweepSpec:
     stop_db: float
     step_db: float
 
+    @property
+    def count(self) -> float:
+        """Number of sweep points; a float, so a vanishing step gives inf."""
+        spans = (self.stop_db - self.start_db) / self.step_db
+        return float(np.floor(spans + 1e-9)) + 1.0
+
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.stop_db - self.start_db) / self.step_db + 1e-9)) + 1
-        return self.start_db + self.step_db * np.arange(count)
+        return self.start_db + self.step_db * np.arange(int(self.count))
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,10 @@ def check_fading_figure(m: float, field: str) -> float:
 
 
 def parse_sweep(raw: str, field: str) -> SweepSpec:
-    """``start:stop:step`` in dB; both ends must pass ``check_db``."""
+    """``start:stop:step`` in dB; both ends must pass ``check_db``.
+
+    At most ``MAX_SWEEP_POINTS`` points.
+    """
     parts = raw.split(":")
     if len(parts) != 3:
         raise ScenarioError(f"{field} must look like start:stop:step, got {raw!r}",
@@ -167,7 +186,37 @@ def parse_sweep(raw: str, field: str) -> SweepSpec:
     check_db(stop, field)
     if stop < start:
         raise ScenarioError(f"{field} stop must be >= start, got {raw!r}", field=field)
-    return SweepSpec(start_db=start, stop_db=stop, step_db=step)
+    spec = SweepSpec(start_db=start, stop_db=stop, step_db=step)
+    if spec.count > MAX_SWEEP_POINTS:
+        raise ScenarioError(f"{field} gives {spec.count:.0f} points, more than "
+                            f"{MAX_SWEEP_POINTS}, got {raw!r}", field=field)
+    return spec
+
+
+def parse_modulations(raw: str, field: str) -> tuple[PskModulation, ...]:
+    """Comma list of modulations, each one of BPSK, PSK8 and PSK16."""
+    tokens = [t.strip().upper() for t in raw.split(",") if t.strip()]
+    allowed = ", ".join(_MODULATIONS)
+    if not tokens:
+        raise ScenarioError(f"{field} must list at least one of {allowed}", field=field)
+    for token in tokens:
+        if token not in _MODULATIONS:
+            raise ScenarioError(f"{field} entries must be among {allowed}, got {token!r}",
+                                field=field)
+    return tuple(PskModulation.from_label(t) for t in tokens)
+
+
+def placement_hops(case: str, n_s: int, n_r: int, n_d: int,
+                   m1: float, m2: float) -> tuple[HopConfig, HopConfig]:
+    """Both hop templates (branch mean 1.0) of a named antenna placement."""
+    scheme1, scheme2, singles = _PLACEMENTS[case]
+    counts = {"n_s": n_s, "n_r": n_r, "n_d": n_d}
+    for key in singles:
+        if counts[key] != 1:
+            raise ScenarioError(
+                f"case {case} requires {key} = 1, got {key} = {counts[key]}", field=key)
+    return (HopConfig(n_s, n_r, m1, 1.0, scheme1),
+            HopConfig(n_r, n_d, m2, 1.0, scheme2))
 
 
 def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
@@ -192,9 +241,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
-    case_raw = pairs.get("case")
-    if case_raw is None:
-        raise ScenarioError("missing required key 'case'", field="case")
+    case_raw = _required(pairs, "case")
     case = case_raw.strip().upper()
     if case not in _CASES:
         raise ScenarioError(
@@ -219,42 +266,19 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
                 f"hop1_n_rx = {hop1.n_rx} must equal hop2_n_tx = {hop2.n_tx} "
                 "(both are the relay's antenna count)", field="hop2_n_tx")
     else:
-        n_s = _get_count(pairs, "n_s")
-        n_r = _get_count(pairs, "n_r")
-        n_d = _get_count(pairs, "n_d")
-        if case == "MIMO_MIMO":
-            hop1 = _hop(n_s, n_r, m1, CombiningScheme.STBC_MRC, "n_s")
-            hop2 = _hop(n_r, n_d, m2, CombiningScheme.STBC_MRC, "n_r")
-        elif case == "MISO_SIMO":
-            if n_r != 1:
-                raise ScenarioError(
-                    "case MISO_SIMO requires n_r = 1 (STBC hop into a "
-                    f"single-antenna relay), got n_r = {n_r}", field="n_r")
-            hop1 = _hop(n_s, 1, m1, CombiningScheme.STBC, "n_s")
-            hop2 = _hop(1, n_d, m2, CombiningScheme.MRC, "n_d")
-        else:  # SIMO_MISO
-            if n_s != 1:
-                raise ScenarioError(
-                    f"case SIMO_MISO requires n_s = 1, got n_s = {n_s}", field="n_s")
-            if n_d != 1:
-                raise ScenarioError(
-                    f"case SIMO_MISO requires n_d = 1, got n_d = {n_d}", field="n_d")
-            hop1 = _hop(1, n_r, m1, CombiningScheme.MRC, "n_r")
-            hop2 = _hop(n_r, 1, m2, CombiningScheme.STBC, "n_r")
+        n_s, n_r, n_d = (_get_int(pairs, key) for key in ("n_s", "n_r", "n_d"))
+        hop1, hop2 = placement_hops(case, n_s, n_r, n_d, m1, m2)
 
     hop1_snr_db = tuple(check_db(db, "hop1_snr_db")
                         for db in _get_float_list(pairs, "hop1_snr_db"))
-    raw_sweep = pairs.get("hop2_sweep_db")
-    if raw_sweep is None:
-        raise ScenarioError("missing required key 'hop2_sweep_db'", field="hop2_sweep_db")
-    sweep = parse_sweep(raw_sweep, "hop2_sweep_db")
+    sweep = parse_sweep(_required(pairs, "hop2_sweep_db"), "hop2_sweep_db")
     hop2_snr_db = check_db(_get_float(pairs, "hop2_snr_db",
                                       default=0.5 * (sweep.start_db + sweep.stop_db)),
                            "hop2_snr_db")
-    modulations = _get_modulations(pairs)
+    modulations = parse_modulations(_required(pairs, "modulations"), "modulations")
     combiner = _get_combiner(pairs)
-    mc_seed = _get_optional_int(pairs, "mc_seed", minimum=0)
-    mc_samples = _get_optional_int(pairs, "mc_samples", minimum=1)
+    mc_seed = _get_int(pairs, "mc_seed", minimum=0, optional=True)
+    mc_samples = _get_int(pairs, "mc_samples", optional=True)
 
     return Scenario(
         name=pairs.get("name") or fallback_name,
@@ -271,37 +295,32 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     )
 
 
-def _hop(n_tx: int, n_rx: int, m: float, scheme: CombiningScheme,
-         field: str) -> HopConfig:
-    try:
-        return HopConfig(n_tx=n_tx, n_rx=n_rx, m=m, mean_branch_snr=1.0,
-                         scheme=scheme)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), field=field) from exc
-
-
 def _custom_hop(pairs: dict[str, str], prefix: str, m: float) -> HopConfig:
     scheme_key = f"{prefix}_scheme"
-    raw = pairs.get(scheme_key)
-    if raw is None:
-        raise ScenarioError(f"missing required key {scheme_key!r} for case CUSTOM",
-                            field=scheme_key)
+    raw = _required(pairs, scheme_key)
     try:
         scheme = CombiningScheme[raw.strip().upper()]
     except KeyError:
         names = ", ".join(s.name for s in CombiningScheme)
         raise ScenarioError(f"{scheme_key} must be one of {names}, got {raw!r}",
                             field=scheme_key) from None
-    n_tx = _get_count(pairs, f"{prefix}_n_tx")
-    n_rx = _get_count(pairs, f"{prefix}_n_rx")
-    return _hop(n_tx, n_rx, m, scheme, scheme_key)
+    n_tx = _get_int(pairs, f"{prefix}_n_tx")
+    n_rx = _get_int(pairs, f"{prefix}_n_rx")
+    try:
+        return HopConfig(n_tx, n_rx, m, 1.0, scheme)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), field=scheme_key) from exc
 
 
-def _get_float(pairs, key, default=None) -> float:
+def _required(pairs, key) -> str:
+    if key not in pairs:
+        raise ScenarioError(f"missing required key {key!r}", field=key)
+    return pairs[key]
+
+
+def _get_float(pairs, key, default: float) -> float:
     raw = pairs.get(key)
     if raw is None:
-        if default is None:
-            raise ScenarioError(f"missing required key {key!r}", field=key)
         return default
     try:
         return float(raw)
@@ -309,23 +328,10 @@ def _get_float(pairs, key, default=None) -> float:
         raise ScenarioError(f"{key} must be a number, got {raw!r}", field=key) from None
 
 
-def _get_count(pairs, key) -> int:
-    raw = pairs.get(key)
-    if raw is None:
-        raise ScenarioError(f"missing required key {key!r}", field=key)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ScenarioError(f"{key} must be an integer, got {raw!r}", field=key) from None
-    if value < 1:
-        raise ScenarioError(f"{key} must be >= 1, got {value}", field=key)
-    return value
-
-
-def _get_optional_int(pairs, key, minimum: int) -> int | None:
-    raw = pairs.get(key)
-    if raw is None:
+def _get_int(pairs, key, minimum: int = 1, optional: bool = False) -> int | None:
+    if optional and key not in pairs:
         return None
+    raw = _required(pairs, key)
     try:
         value = int(raw)
     except ValueError:
@@ -336,9 +342,7 @@ def _get_optional_int(pairs, key, minimum: int) -> int | None:
 
 
 def _get_float_list(pairs, key) -> tuple[float, ...]:
-    raw = pairs.get(key)
-    if raw is None:
-        raise ScenarioError(f"missing required key {key!r}", field=key)
+    raw = _required(pairs, key)
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
     if not tokens:
         raise ScenarioError(f"{key} must list at least one value", field=key)
@@ -349,32 +353,10 @@ def _get_float_list(pairs, key) -> tuple[float, ...]:
                             f"got {raw!r}", field=key) from None
 
 
-def _get_modulations(pairs) -> tuple[PskModulation, ...]:
-    raw = pairs.get("modulations")
-    if raw is None:
-        raise ScenarioError("missing required key 'modulations'", field="modulations")
-    tokens = [t.strip().upper() for t in raw.split(",") if t.strip()]
-    if not tokens:
-        raise ScenarioError(
-            f"modulations must list at least one of {', '.join(_ALLOWED_MODULATIONS)}",
-            field="modulations")
-    mods = []
-    for token in tokens:
-        if token not in _ALLOWED_MODULATIONS:
-            raise ScenarioError(
-                f"modulations entries must be among {', '.join(_ALLOWED_MODULATIONS)}, "
-                f"got {token!r}", field="modulations")
-        mods.append(PskModulation.from_label(token))
-    return tuple(mods)
-
-
 def _get_combiner(pairs) -> Combiner:
-    raw = pairs.get("combiner")
-    if raw is None:
-        return Combiner.EXACT
-    token = raw.strip().lower()
-    for combiner in Combiner:
-        if combiner.value == token:
-            return combiner
-    raise ScenarioError(f"combiner must be 'exact' or 'harmonic', got {raw!r}",
-                        field="combiner")
+    raw = pairs.get("combiner", Combiner.EXACT.value)
+    try:
+        return Combiner(raw.strip().lower())
+    except ValueError:
+        raise ScenarioError(f"combiner must be 'exact' or 'harmonic', got {raw!r}",
+                            field="combiner") from None

@@ -15,6 +15,7 @@ a*sqrt(b/pi) * e^(-b*u^2) * F(u^2).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,6 @@ from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
 
 __all__ = [
     "PskModulation",
-    "SweepPoint",
-    "SerCurve",
     "conditional_sep",
     "ser_from_cdf",
     "ser_direct",
@@ -126,49 +125,24 @@ def ser_from_cdf(mod: PskModulation, cdf, tol: float = DEFAULT_SER_TOL) -> float
 
 
 def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
-    """Average SEP by direct expectation.
+    """Average SEP by quadrature over the density of ``dist``.
 
-    ``dist`` is either a distribution exposing ``pdf`` (quadrature over
-    the density, the integration-by-parts counterpart of ser_from_cdf) or
-    a 1-D array of SNR samples (mean of the conditional SEP).
+    The integration-by-parts counterpart of ser_from_cdf, kept as its
+    independent reference.
     """
-    if hasattr(dist, "pdf"):
-        root_2b = math.sqrt(2.0 * mod.b)
+    root_2b = math.sqrt(2.0 * mod.b)
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return gaussian_q(root_2b * u) * np.asarray(dist.pdf(u * u)) * 2.0 * u
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return gaussian_q(root_2b * u) * np.asarray(dist.pdf(u * u)) * 2.0 * u
 
-        result = integrate_semi_infinite(integrand, 0.0, tol)
-        value = mod.a * result.value
-        value = min(max(value, 0.0), mod.a / 2.0)
-        if not result.converged:
-            raise ConvergenceError(
-                f"direct SER quadrature did not converge (best estimate {value:.6g})",
-                value, result.error_estimate)
-        return value
-
-    samples = np.asarray(dist, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("sample input must be a nonempty 1-D array")
-    return float(np.mean(conditional_sep(mod, samples)))
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep row; ``mc_*`` fields are filled only when a MC run is attached."""
-
-    hop2_snr_db: float
-    ser_analytical: float
-    converged: bool = True
-    mc_ser: float | None = None
-    mc_halfwidth: float | None = None
-
-
-@dataclass(frozen=True)
-class SerCurve:
-    modulation: PskModulation
-    hop1_snr_db: float
-    points: tuple[SweepPoint, ...]
+    result = integrate_semi_infinite(integrand, 0.0, tol)
+    value = mod.a * result.value
+    value = min(max(value, 0.0), mod.a / 2.0)
+    if not result.converged:
+        raise ConvergenceError(
+            f"direct SER quadrature did not converge (best estimate {value:.6g})",
+            value, result.error_estimate)
+    return value
 
 
 def shared_cdf(d1: HopDistribution, d2: HopDistribution,
@@ -197,18 +171,17 @@ def shared_cdf(d1: HopDistribution, d2: HopDistribution,
 
 
 def ser_sweep(scenario: LinkScenario, mods, hop2_mean_db_grid,
-              hop1_mean_db: float, tol: float = DEFAULT_SER_TOL):
+              hop1_mean_db: float, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     """Analytical SER across hop-2 mean SNRs at a fixed hop-1 mean (both dB).
 
-    ``mods`` is one PskModulation, giving one SerCurve, or a sequence,
-    giving a tuple of SerCurves in the same order; the modulations share
-    one ``shared_cdf`` per sweep point.  The scenario's per-branch means
-    act as placeholders; each sweep point rebuilds the hop laws at the
-    requested means.  Non-convergent points are recorded with
-    converged=False and a NaN value instead of aborting the sweep.
+    Returns an array of shape ``(len(mods), len(grid))``: row i is the
+    curve of ``mods[i]``, and the modulations share one ``shared_cdf`` per
+    sweep point.  The scenario's per-branch means act as placeholders;
+    each sweep point rebuilds the hop laws at the requested means.  A
+    point whose quadrature does not converge is NaN instead of aborting
+    the sweep.
     """
-    single = isinstance(mods, PskModulation)
-    mods = (mods,) if single else tuple(mods)
+    mods = tuple(mods)
     if not mods:
         raise ValueError("at least one modulation is required")
     grid = np.asarray(hop2_mean_db_grid, dtype=float)
@@ -222,18 +195,12 @@ def ser_sweep(scenario: LinkScenario, mods, hop2_mean_db_grid,
     d1 = effective_distribution(
         replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0)))
 
-    rows: list[list[SweepPoint]] = [[] for _ in mods]
-    for db in grid:
+    ser = np.full((len(mods), grid.size), math.nan)
+    for j, db in enumerate(grid):
         d2 = effective_distribution(
             replace(scenario.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
         cdf = shared_cdf(d1, d2, scenario.combiner, tol)
-        for row, mod in zip(rows, mods):
-            try:
-                value = ser_from_cdf(mod, cdf, tol)
-                row.append(SweepPoint(hop2_snr_db=float(db), ser_analytical=value))
-            except ConvergenceError:
-                row.append(SweepPoint(hop2_snr_db=float(db),
-                                      ser_analytical=math.nan, converged=False))
-    curves = tuple(SerCurve(modulation=mod, hop1_snr_db=float(hop1_mean_db),
-                            points=tuple(row)) for mod, row in zip(mods, rows))
-    return curves[0] if single else curves
+        for i, mod in enumerate(mods):
+            with suppress(ConvergenceError):
+                ser[i, j] = ser_from_cdf(mod, cdf, tol)
+    return ser

@@ -53,15 +53,16 @@ def reference(scenario_dir):
     started = time.perf_counter()
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     grid = scenario.sweep.values()
-    curves = {mod.label: ser_sweep(scenario.link(), mod, grid, HOP1_DB, tol=1e-7)
-              for mod in scenario.modulations}
+    mods = scenario.modulations
+    curves = dict(zip((mod.label for mod in mods),
+                      ser_sweep(scenario.link(), mods, grid, HOP1_DB, tol=1e-7)))
     return SimpleNamespace(scenario=scenario, grid=grid, curves=curves,
                            build_seconds=time.perf_counter() - started)
 
 
 def _curve_values(curve):
-    assert all(p.converged for p in curve.points)
-    return np.array([p.ser_analytical for p in curve.points])
+    assert np.all(np.isfinite(curve)), "a sweep point did not converge"
+    return curve
 
 
 def _random_hop(rng, n_tx=None, n_rx=None):
@@ -135,13 +136,13 @@ def test_criterion_3_ser_vs_mc(reference):
     run = McRun(5150, 1_000_000, 4)
     failures = []
     mods = reference.scenario.modulations
-    for db, estimates in sweep_eq_samples(link, mods, reference.grid, HOP1_DB, run):
+    points = sweep_eq_samples(link, mods, reference.grid, HOP1_DB, run)
+    for j, (db, estimates) in enumerate(points):
         for mod, (estimate, _) in zip(mods, estimates):
-            curve = reference.curves[mod.label]
-            point = next(p for p in curve.points if p.hop2_snr_db == db)
-            if point.ser_analytical < 1e-4:
+            analytic = reference.curves[mod.label][j]
+            if analytic < 1e-4:
                 continue
-            rel = abs(point.ser_analytical - estimate) / point.ser_analytical
+            rel = abs(analytic - estimate) / analytic
             if rel > 0.02:
                 failures.append(f"{mod.label} @ {db:g} dB: rel err {rel:.4f}")
     elapsed = reference.build_seconds + time.perf_counter() - started
@@ -203,9 +204,10 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
     per_n = {3: values}
     for n, stem in ((2, "mimo_n2"), (4, "mimo_n4")):
         other = load_scenario(scenario_dir / f"{stem}.scenario")
-        per_n[n] = {mod.label: _curve_values(
-            ser_sweep(other.link(), mod, reference.grid, HOP1_DB, tol=1e-7))
-            for mod in other.modulations}
+        rows = ser_sweep(other.link(), other.modulations, reference.grid, HOP1_DB,
+                         tol=1e-7)
+        per_n[n] = {mod.label: _curve_values(row)
+                    for mod, row in zip(other.modulations, rows)}
     for label in values:
         if not (np.all(per_n[4][label] < per_n[3][label])
                 and np.all(per_n[3][label] < per_n[2][label])):
@@ -218,7 +220,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
         HopConfig(1, 3, 1.0, 1.0, CombiningScheme.MRC),
         HopConfig(3, 1, 1.0, 1.0, CombiningScheme.STBC))
     for tag, link in (("MISO_SIMO", miso_simo), ("SIMO_MISO", simo_miso)):
-        mixed = _curve_values(ser_sweep(link, bpsk, reference.grid, HOP1_DB, 1e-7))
+        mixed = _curve_values(ser_sweep(link, [bpsk], reference.grid, HOP1_DB, 1e-7)[0])
         if not np.all(values["BPSK"] < mixed):
             failures.append(f"(d) MIMO_MIMO does not dominate {tag}")
 

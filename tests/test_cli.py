@@ -16,6 +16,8 @@ import pytest
 
 from twohop import cli
 from twohop.cli import _fmt_prob, main
+from twohop.relay import Combiner
+from twohop.scenario import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +155,21 @@ def test_cdf_default_grid_has_fifty_points(mini_path, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["", "1:2", "2:1:5", "-1:4:3", "0:4:0",
-                                  "a,b", "3,2,1"])
+                                  "a,b", "3,2,1", "0:1:10001", "0,inf",
+                                  "0:1e400:3"])
 def test_cdf_rejects_bad_grids(mini_path, spec):
     code, err = run_main(["cdf", "--scenario", mini_path, f"--grid={spec}",
                           "--samples", "1000"])
     assert code == 2
     assert "invalid configuration" in err and "grid" in err
+
+
+def test_cdf_rejects_a_grid_list_over_the_point_cap(mini_path):
+    spec = ",".join(str(i) for i in range(10_001))
+    code, err = run_main(["cdf", "--scenario", mini_path, f"--grid={spec}",
+                          "--samples", "1000"])
+    assert code == 2
+    assert "10000" in err and "(field: grid)" in err
 
 
 def test_cdf_swapping_hops_leaves_the_law_alone(tmp_path):
@@ -268,6 +279,9 @@ def test_compare_cases_reports_mimo_lowest(tmp_path):
     (["compare-cases", "--n", "2", "--sweep", "4:0:1"], "sweep"),
     (["compare-cases", "--n", "2", "--modulations", "QAM64"], "modulations"),
     (["compare-cases", "--n", "2", "--modulations", ","], "modulations"),
+    (["compare-cases", "--n", "2", "--modulations", "PSK32"], "modulations"),
+    (["compare-cases", "--n", "2", "--modulations", "BPSK,PSK4"], "modulations"),
+    (["compare-cases", "--n", "2", "--sweep", "0:2500:0.25"], "sweep"),
 ])
 def test_compare_cases_flag_validation(argv, field):
     code, err = run_main(argv)
@@ -310,6 +324,15 @@ def test_non_finite_compare_cases_flags_exit_two(flags, field):
     code, err = run_main(["compare-cases", "--n", "2"] + flags)
     assert code == 2
     assert f"(field: {field})" in err
+
+
+def test_compare_cases_links_match_the_scenario_files(scenario_dir):
+    """compare-cases and the scenario parser build each placement the same way."""
+    links = dict(cli._case_links(3, 1.0, Combiner.EXACT))
+    for case, stem in (("MIMO_MIMO", "mimo_n3"), ("MISO_SIMO", "miso_simo_n3")):
+        assert links[case] == load_scenario(scenario_dir / f"{stem}.scenario").link()
+    simo = dict(cli._case_links(2, 1.0, Combiner.EXACT))["SIMO_MISO"]
+    assert simo == load_scenario(scenario_dir / "simo_miso_nr2.scenario").link()
 
 
 def test_common_flag_and_file_errors(mini_path, tmp_path):

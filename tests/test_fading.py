@@ -142,17 +142,10 @@ def test_max_mean_and_samples():
     best = MaxGammaSnr(GammaSnr(2.0, 4.0), 3)
     rng = np.random.default_rng(9)
     draws = best.sample(rng, 200_000)
-    assert abs(draws.mean() - best.mean) < 0.05
     # same seed, manual construction: reshape-and-max over base draws
     manual = GammaSnr(2.0, 4.0).sample(
         np.random.default_rng(9), 3 * 200_000).reshape(200_000, 3).max(axis=1)
     assert np.array_equal(draws, manual)
-
-
-def test_max_mean_scales_with_base_mean():
-    small = MaxGammaSnr(GammaSnr(2.0, 4.0), 3).mean
-    large = MaxGammaSnr(GammaSnr(2.0, 4.0e6), 3).mean
-    assert math.isclose(large, small * 1e6, rel_tol=1e-9)
 
 
 def test_max_of_one_is_base_law():

@@ -15,6 +15,7 @@ from twohop.scenario import (
     linear_to_db,
     load_scenario,
     parse_scenario,
+    parse_sweep,
 )
 
 GOLDEN = """\
@@ -115,6 +116,15 @@ def test_sweep_values_hit_start_and_step():
     assert np.allclose(single, [5.0])
 
 
+def test_sweep_point_cap():
+    # 10,000 points pass; one more, or a step that gives millions, exits 2
+    assert parse_sweep("0:2499.75:0.25", "f").values().size == 10_000
+    for raw in ("0:2500:0.25", "0:20:1e-6", "0:20:5e-324"):
+        with pytest.raises(ScenarioError, match="more than 10000") as info:
+            parse_sweep(raw, "f")
+        assert info.value.field == "f"
+
+
 @pytest.mark.parametrize("overrides, field", [
     (dict(case=None), "case"),
     (dict(case="RELAY"), "case"),
@@ -141,6 +151,7 @@ def test_sweep_values_hit_start_and_step():
     (dict(mc_seed="-1"), "mc_seed"),
     (dict(mc_seed="soon"), "mc_seed"),
     (dict(mc_samples="0"), "mc_samples"),
+    (dict(hop2_sweep_db="0:2500:0.25"), "hop2_sweep_db"),   # 10,001 points
 ])
 def test_invalid_inputs_name_the_field(overrides, field):
     with pytest.raises(ScenarioError) as info:

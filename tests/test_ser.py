@@ -12,7 +12,6 @@ from twohop.numerics import gaussian_q
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
 from twohop.ser import (
     PskModulation,
-    SerCurve,
     conditional_sep,
     ser_direct,
     ser_from_cdf,
@@ -98,17 +97,6 @@ def test_cdf_form_equals_direct_form():
             assert abs(via_cdf - via_pdf) <= 1e-6
 
 
-def test_direct_form_accepts_samples():
-    rng = np.random.default_rng(11)
-    samples = GammaSnr(2.0, 4.0).sample(rng, 5000)
-    got = ser_direct(PSK8, samples)
-    assert got == pytest.approx(float(np.mean(conditional_sep(PSK8, samples))))
-    with pytest.raises(ValueError):
-        ser_direct(PSK8, np.empty(0))
-    with pytest.raises(ValueError):
-        ser_direct(PSK8, samples.reshape(-1, 2))
-
-
 def test_larger_kernel_b_never_hurts():
     # with equal a, a larger b decays the kernel faster: PSK8 vs PSK16
     cdf = GammaSnr(2.0, 5.0).cdf
@@ -141,14 +129,12 @@ def test_transparent_second_hop_saturates_to_single_hop():
 def test_sweep_structure():
     link = _mimo3_link()
     grid = np.array([0.0, 6.0, 12.0])
-    curve = ser_sweep(link, BPSK, grid, hop1_mean_db=3.0, tol=1e-6)
-    assert isinstance(curve, SerCurve)
-    assert curve.hop1_snr_db == 3.0
-    assert [p.hop2_snr_db for p in curve.points] == list(grid)
-    values = [p.ser_analytical for p in curve.points]
-    assert all(0.0 < v < BPSK.a / 2.0 for v in values)
-    assert values[0] > values[1] > values[2]
-    assert all(p.converged and p.mc_ser is None for p in curve.points)
+    ser = ser_sweep(link, [BPSK, PSK8], grid, hop1_mean_db=3.0, tol=1e-6)
+    assert isinstance(ser, np.ndarray) and ser.shape == (2, 3)
+    for mod, values in zip((BPSK, PSK8), ser):
+        assert np.all((0.0 < values) & (values < mod.a / 2.0))
+        assert values[0] > values[1] > values[2]
+    assert np.all(ser[0] < ser[1])
 
 
 def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
@@ -164,24 +150,22 @@ def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
     link = _mimo3_link()
     grid = np.array([2.0, 9.0])
     mods = (BPSK, PSK8, PSK16)
-    singles = [ser_sweep(link, mod, grid, 3.0) for mod in mods]
+    singles = [ser_sweep(link, [mod], grid, 3.0) for mod in mods]
     single_points = sum(requested)
     requested.clear()
     shared = ser_sweep(link, mods, grid, 3.0)
-    assert shared == tuple(singles)
-    assert [p.ser_analytical for c in shared for p in c.points] == [
-        p.ser_analytical for c in singles for p in c.points]
+    assert np.array_equal(shared, np.vstack(singles))
     assert sum(requested) < single_points
 
 
 def test_sweep_validates_inputs():
     link = _mimo3_link()
     with pytest.raises(ValueError):
-        ser_sweep(link, BPSK, [], 3.0)
+        ser_sweep(link, [BPSK], [], 3.0)
     with pytest.raises(ValueError):
-        ser_sweep(link, BPSK, [3.0, 1.0], 3.0)
+        ser_sweep(link, [BPSK], [3.0, 1.0], 3.0)
     with pytest.raises(ValueError):
-        ser_sweep(link, BPSK, [0.0, 5.0], 3.0, tol=0.0)
+        ser_sweep(link, [BPSK], [0.0, 5.0], 3.0, tol=0.0)
     with pytest.raises(ValueError):
         ser_sweep(link, (), [0.0, 5.0], 3.0)
 
@@ -189,10 +173,9 @@ def test_sweep_validates_inputs():
 def test_sweep_records_failed_points_instead_of_aborting():
     link = _mimo3_link()
     # a tolerance below the roundoff floor cannot be certified
-    curve = ser_sweep(link, BPSK, np.array([5.0]), 3.0, tol=1e-15)
-    point = curve.points[0]
-    assert not point.converged
-    assert math.isnan(point.ser_analytical)
+    ser = ser_sweep(link, [BPSK, PSK8], np.array([5.0]), 3.0, tol=1e-15)
+    assert ser.shape == (2, 1)
+    assert np.all(np.isnan(ser))
 
 
 def test_quantile_spot_check_against_conditional_sep():
