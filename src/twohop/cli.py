@@ -28,7 +28,7 @@ from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
 from .scenario import (MAX_SWEEP_POINTS, Scenario, ScenarioError, check_db,
                        check_fading_figure, load_scenario, parse_modulations,
                        parse_sweep, placement_hops)
-from .ser import ser_from_cdf, ser_sweep, shared_cdf
+from .ser import ser_sweep
 
 DEFAULT_SEED = 1729
 DEFAULT_SWEEP_MC_SAMPLES = 100_000
@@ -360,9 +360,12 @@ def cmd_validate(args) -> int:
                  f"{deviation:.6f}", f"{limit:.6f}", deviation <= limit))
 
     ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
-    cdf = shared_cdf(d1, d2, link.combiner, ser_tol)
-    for mod in scenario.modulations:
-        analytical_ser = ser_from_cdf(mod, cdf, ser_tol)
+    ser = ser_sweep(scenario.link(), scenario.modulations, [hop2_db], hop1_db, ser_tol)
+    for mod, analytical_ser in zip(scenario.modulations, ser[:, 0].tolist()):
+        if math.isnan(analytical_ser):
+            raise ConvergenceError(
+                f"SER quadrature did not converge for {mod.label} at hop1 {hop1_db:g} dB, "
+                f"hop2 {hop2_db:g} dB", math.nan, math.nan)
         estimate, _ = mc_ser(mod, eq)
         label = (f"SER rel. err. {mod.label} @ hop1 {hop1_db:g} dB, "
                  f"hop2 {hop2_db:g} dB")

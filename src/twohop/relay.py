@@ -48,12 +48,18 @@ class Combiner(Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature missed the requested tolerance; carries the best estimate."""
+    """Quadrature missed the requested tolerance; carries the best estimate.
 
-    def __init__(self, message: str, value: float, error_estimate: float):
+    ``failed`` holds the flat indices of the requested elements found
+    unable to converge, when the raiser knows them (``end_to_end_cdf``).
+    """
+
+    def __init__(self, message: str, value: float, error_estimate: float,
+                 failed: tuple[int, ...] = ()):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.failed = failed
 
 
 @dataclass(frozen=True)
@@ -99,33 +105,57 @@ def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
     return out
 
 
-def end_to_end_cdf(d1: HopDistribution, d2: HopDistribution, snr,
+def end_to_end_cdf(d1: HopDistribution, d2, snr,
                    combiner: Combiner = Combiner.EXACT,
-                   tol: float = DEFAULT_CDF_TOL):
+                   tol: float = DEFAULT_CDF_TOL, *, law=None):
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
-    has its shape).  All elements run as one batch of inner quadratures,
-    and each value is bit-identical to a call with that element alone.
-    One element that cannot converge raises ConvergenceError for the call.
+    has its shape).  ``d2`` is the hop-2 law, or a sequence of hop-2 laws
+    when ``law`` is given: an integer array of ``snr``'s shape whose
+    entries index ``d2``, one per element.  All elements run as one batch
+    of inner quadratures, and each value is bit-identical to a call with
+    that element (and its law) alone.  One element that cannot converge
+    raises ConvergenceError for the call; its ``failed`` lists the flat
+    indices of every element found stuck.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
         raise ValueError(f"snr must be nonnegative, got {snr}")
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
+    if law is None:
+        laws, which = (d2,), np.zeros(gamma.size, dtype=np.intp)
+    else:
+        laws, which = tuple(d2), np.asarray(law)
+        if (which.shape != gamma.shape or not np.issubdtype(which.dtype, np.integer)
+                or not np.all((0 <= which) & (which < len(laws)))):
+            raise ValueError("law must be integers indexing d2, one per snr element")
+        which = which.reshape(-1).astype(np.intp)
     flat = gamma.reshape(-1)
     out = np.zeros(flat.size)
-    pos = flat > 0.0
-    if pos.any():
-        out[pos] = _positive_cdf(d1, d2, flat[pos], combiner, tol)
+    pos = np.flatnonzero(flat > 0.0)
+    if pos.size:
+        out[pos] = _positive_cdf(d1, laws, which[pos], flat[pos], pos, combiner, tol)
     if gamma.ndim == 0:
         return float(out[0])
     return out.reshape(gamma.shape)
 
 
-def _positive_cdf(d1: HopDistribution, d2: HopDistribution, gamma: np.ndarray,
-                  combiner: Combiner, tol: float) -> np.ndarray:
+def _by_law(laws: tuple, law: np.ndarray, method: str, x: np.ndarray) -> np.ndarray:
+    """``laws[law[j]].<method>(x[j])`` for every j, one call per law present."""
+    if len(laws) == 1:
+        return np.asarray(getattr(laws[0], method)(x))
+    out = np.empty(x.shape)
+    for k in np.flatnonzero(np.bincount(law, minlength=len(laws))):
+        mine = law == k
+        out[mine] = getattr(laws[k], method)(x[mine])
+    return out
+
+
+def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.ndarray,
+                  index: np.ndarray, combiner: Combiner, tol: float) -> np.ndarray:
+    """F_eq at positive ``gamma`` (hop-2 law ``laws[law[i]]``); ``index`` maps to the request."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
 
     def integrand(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -135,15 +165,16 @@ def _positive_cdf(d1: HopDistribution, d2: HopDistribution, gamma: np.ndarray,
         # Nodes are interior so y > gamma analytically, but the subtraction
         # can round to zero; the threshold limit there is +inf (F1 -> 1).
         threshold = np.where(y > g, threshold, np.inf)
-        return np.asarray(d1.cdf(threshold)) * np.asarray(d2.pdf(y))
+        return np.asarray(d1.cdf(threshold)) * _by_law(laws, law[owner], "pdf", y)
 
     # The integrand's mass sits either just above gamma or around the hop-2
     # mean, whichever is larger; matching the substitution scale to that
     # keeps the mass visible to the initial quadrature nodes even when the
     # hop-2 mean is orders of magnitude away from gamma.
+    scale = np.array([_mean_scale(d) for d in laws])[law]
     result = integrate_semi_infinite_batch(integrand, gamma, tol,
-                                           scale=np.maximum(_mean_scale(d2), gamma))
-    raw = np.asarray(d2.cdf(gamma)) + result.value
+                                           scale=np.maximum(scale, gamma))
+    raw = _by_law(laws, law, "cdf", gamma) + result.value
     value = np.clip(raw, 0.0, 1.0)
     finished = result.converged | result.stuck
     clamped = finished & (np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6))
@@ -156,7 +187,8 @@ def _positive_cdf(d1: HopDistribution, d2: HopDistribution, gamma: np.ndarray,
         raise ConvergenceError(
             f"end-to-end CDF quadrature did not converge at snr={gamma[i]:g} "
             f"(best estimate {value[i]:.6g}, error estimate {result.error_estimate[i]:.3g})",
-            float(value[i]), float(result.error_estimate[i]))
+            float(value[i]), float(result.error_estimate[i]),
+            tuple(index[result.stuck].tolist()))
     return value
 
 

@@ -15,14 +15,14 @@ a*sqrt(b/pi) * e^(-b*u^2) * F(u^2).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diversity import effective_distribution
 from .fading import HopDistribution
-from .numerics import DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite
+from .numerics import (DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite,
+                       integrate_semi_infinite_batch)
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
 
 __all__ = [
@@ -94,34 +94,56 @@ def conditional_sep(mod: PskModulation, snr):
     return out
 
 
-def ser_from_cdf(mod: PskModulation, cdf, tol: float = DEFAULT_SER_TOL) -> float:
-    """Average SEP from a CDF callable via the kernel integral.
+def ser_from_cdf(mods, cdf, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
+    """Average SEP of each of ``mods`` via the kernel integral, as one batch.
 
-    ``cdf`` maps an ndarray of linear SNRs to probabilities of the same
-    shape.  Raises ConvergenceError when the quadrature misses ``tol``.
+    Integrand i is the SER of ``mods[i]``.  ``cdf(g, owner)`` maps a 1-D
+    ndarray of linear SNRs, ``g[j]`` asked for by integrand ``owner[j]``,
+    to probabilities of the same shape; a NaN marks a value it could not
+    compute and fails every integrand that asks for it.  Returns an array
+    of ``len(mods)`` SERs, NaN where the quadrature did not converge.
+    An integrand that runs out of intervals stops the batch, so the
+    unfinished ones run again without it; every value is bit-identical
+    to a batch of that modulation alone.
     """
+    mods = tuple(mods)
+    if not mods:
+        raise ValueError("at least one modulation is required")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    b = mod.b
+    b = np.array([mod.b for mod in mods])
+    failed = np.zeros(len(mods), dtype=bool)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        weight = np.exp(-b * u * u)
-        out = np.zeros_like(u)
-        live = weight > 0.0
-        if live.any():
-            u_live = u[live]
-            out[live] = weight[live] * np.asarray(cdf(u_live * u_live), dtype=float)
-        return out
+    def integrand_of(batch: np.ndarray):
+        def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            owner = batch[owner]
+            weight = np.exp(-b[owner] * u * u)
+            out = np.zeros_like(u)
+            live = (weight > 0.0) & ~failed[owner]
+            if live.any():
+                u_live = u[live]
+                values = np.asarray(cdf(u_live * u_live, owner[live]), dtype=float)
+                failed[owner[live][np.isnan(values)]] = True
+                out[live] = weight[live] * values
+                # A failed integrand integrates zero from here on, so it
+                # retires without further CDF requests.
+                out[failed[owner]] = 0.0
+            return out
+        return integrand
 
-    result = integrate_semi_infinite(integrand, 0.0, tol)
-    value = mod.a * math.sqrt(b / math.pi) * result.value
-    value = min(max(value, 0.0), mod.a / 2.0)
-    if not result.converged:
-        raise ConvergenceError(
-            f"SER quadrature did not converge (best estimate {value:.6g}, "
-            f"error estimate {result.error_estimate:.3g})",
-            value, result.error_estimate)
-    return value
+    ser = np.full(len(mods), math.nan)
+    todo = np.arange(len(mods))
+    while todo.size:
+        n = todo.size
+        result = integrate_semi_infinite_batch(integrand_of(todo), np.zeros(n), tol,
+                                               scale=np.ones(n))
+        ok = result.converged & ~failed[todo]
+        for i, value in zip(todo[ok], result.value[ok].tolist()):
+            mod = mods[i]
+            value = mod.a * math.sqrt(mod.b / math.pi) * value
+            ser[i] = min(max(value, 0.0), mod.a / 2.0)
+        todo = todo[~(result.converged | result.stuck | failed[todo])]
+    return ser
 
 
 def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
@@ -145,27 +167,36 @@ def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
     return value
 
 
-def shared_cdf(d1: HopDistribution, d2: HopDistribution,
-               combiner: Combiner = Combiner.EXACT,
+def shared_cdf(d1: HopDistribution, d2s, combiner: Combiner = Combiner.EXACT,
                ser_tol: float = DEFAULT_SER_TOL):
-    """End-to-end CDF for SER quadratures of tolerance ``ser_tol``, memoized by gamma.
+    """End-to-end CDFs for SER quadratures of tolerance ``ser_tol``, memoized by (law, gamma).
 
+    ``cdf(g, law)`` is F_eq at ``g[j]`` with hop-2 law ``d2s[law[j]]``.
     The CDF runs ``NESTED_TIGHTENING`` times tighter than the SER (at most
     1e-2).  Every SER integral maps gamma = u^2 onto the same dyadic grid
     in t, so modulations evaluated at one operating point request many of
-    the same floats; each is computed once, in one batch per request, and
-    a batched value equals the value computed alone.
+    the same floats; each (law, gamma) is computed once, and a call's
+    missing pairs go to one ``end_to_end_cdf`` batch, whose values equal
+    the values computed alone.  A pair whose inner quadrature cannot
+    converge is NaN from then on; the rest of its batch is computed again.
     """
     cdf_tol = min(ser_tol / NESTED_TIGHTENING, 1e-2)
-    memo: dict[float, float] = {}
+    memo: dict[tuple[int, float], float] = {}
 
-    def cdf(g):
-        keys = np.asarray(g, dtype=float).reshape(-1).tolist()
+    def cdf(g, law):
+        keys = list(zip(np.asarray(law).tolist(), np.asarray(g, dtype=float).tolist()))
         missing = [k for k in dict.fromkeys(keys) if k not in memo]
-        if missing:
-            values = end_to_end_cdf(d1, d2, np.array(missing), combiner, cdf_tol)
-            memo.update(zip(missing, values.tolist()))
-        return np.array([memo[k] for k in keys]).reshape(np.shape(g))
+        while missing:
+            laws, gammas = (np.array(column) for column in zip(*missing))
+            try:
+                values = end_to_end_cdf(d1, d2s, gammas, combiner, cdf_tol, law=laws)
+            except ConvergenceError as exc:
+                memo.update((missing[i], math.nan) for i in exc.failed)
+                missing = [k for k in missing if k not in memo]
+            else:
+                memo.update(zip(missing, values.tolist()))
+                missing = []
+        return np.array([memo[k] for k in keys])
 
     return cdf
 
@@ -175,32 +206,26 @@ def ser_sweep(scenario: LinkScenario, mods, hop2_mean_db_grid,
     """Analytical SER across hop-2 mean SNRs at a fixed hop-1 mean (both dB).
 
     Returns an array of shape ``(len(mods), len(grid))``: row i is the
-    curve of ``mods[i]``, and the modulations share one ``shared_cdf`` per
-    sweep point.  The scenario's per-branch means act as placeholders;
-    each sweep point rebuilds the hop laws at the requested means.  A
-    point whose quadrature does not converge is NaN instead of aborting
+    curve of ``mods[i]``.  The scenario's per-branch means act as
+    placeholders; each sweep point gets the hop-2 law at its mean, and
+    all ``len(mods) * len(grid)`` SER integrals run as one
+    ``ser_from_cdf`` batch over one ``shared_cdf`` of every point's law.
+    A point whose quadrature does not converge is NaN instead of aborting
     the sweep.
     """
     mods = tuple(mods)
-    if not mods:
-        raise ValueError("at least one modulation is required")
     grid = np.asarray(hop2_mean_db_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("hop2_mean_db_grid must be a nonempty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("hop2_mean_db_grid must be strictly increasing")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     d1 = effective_distribution(
         replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0)))
-
-    ser = np.full((len(mods), grid.size), math.nan)
-    for j, db in enumerate(grid):
-        d2 = effective_distribution(
-            replace(scenario.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
-        cdf = shared_cdf(d1, d2, scenario.combiner, tol)
-        for i, mod in enumerate(mods):
-            with suppress(ConvergenceError):
-                ser[i, j] = ser_from_cdf(mod, cdf, tol)
-    return ser
+    d2s = [effective_distribution(replace(scenario.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
+           for db in grid]
+    cdf = shared_cdf(d1, d2s, scenario.combiner, tol)
+    points = grid.size
+    ser = ser_from_cdf([mod for mod in mods for _ in range(points)],
+                       lambda g, owner: cdf(g, owner % points), tol)
+    return ser.reshape(len(mods), points)

@@ -239,6 +239,51 @@ def test_ser_sweep_nonconvergence_writes_nan_rows(tmp_path):
     assert rows[0].split(",")[8] == "nan"
 
 
+# The seed-410 op of bench/BASELINE.md: BPSK and PSK8 lose the 19 dB point
+# to a CDF element that cannot converge.  Bytes recorded before the SER
+# sweep ran as one batch.
+TAS_HARMONIC_SCENARIO = """\
+name = paper07
+case = CUSTOM
+hop1_scheme = TAS_MRC
+hop1_n_tx = 2
+hop1_n_rx = 2
+hop2_scheme = TAS_MRC
+hop2_n_tx = 2
+hop2_n_rx = 1
+m = 0.5
+combiner = harmonic
+hop1_snr_db = 4.0
+hop2_sweep_db = 15:19:4
+modulations = BPSK, PSK8, PSK16
+"""
+TAS_HARMONIC_STDOUT = """\
+# twohop 0.1.0 ser-sweep
+# scenario: paper07  case: CUSTOM  combiner: harmonic
+# tol: 1e-07
+case,modulation,n_s,n_r,n_d,m,hop1_snr_db,hop2_snr_db,ser_analytical
+CUSTOM,BPSK,2,2,1,0.5,4,15,0.017179334997043837
+CUSTOM,BPSK,2,2,1,0.5,4,19,nan
+CUSTOM,PSK8,2,2,1,0.5,4,15,0.28427947894325845
+CUSTOM,PSK8,2,2,1,0.5,4,19,nan
+CUSTOM,PSK16,2,2,1,0.5,4,15,0.5622580899397747
+CUSTOM,PSK16,2,2,1,0.5,4,19,0.5315316844508701
+"""
+TAS_HARMONIC_STDERR = ("twohop: quadrature did not converge at: BPSK hop1=4 dB hop2=19 dB; "
+                       "PSK8 hop1=4 dB hop2=19 dB\n")
+
+
+def test_ser_sweep_inner_nonconvergence_bytes(tmp_path):
+    path = tmp_path / "tas_harmonic.scenario"
+    path.write_text(TAS_HARMONIC_SCENARIO, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "twohop", "ser-sweep", "--scenario",
+                           str(path), "--full-precision"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stdout == TAS_HARMONIC_STDOUT
+    assert proc.stderr == TAS_HARMONIC_STDERR
+
+
 def test_compare_cases_single_antenna_is_degenerate(tmp_path):
     out = tmp_path / "cmp.csv"
     code, _ = run_main(["compare-cases", "--n", "1", "--sweep", "0:4:2",

@@ -157,6 +157,20 @@ def test_array_call_matches_scalar_calls_bit_for_bit(d1, d2, combiner):
     assert end_to_end_cdf(d1, d2, BATCH_POINTS[::-1], combiner, 1e-9).tolist() == alone[::-1]
 
 
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_several_hop2_laws_match_one_law_calls_bit_for_bit(combiner):
+    d1 = GammaSnr(shape=4.0, mean=3.0)
+    laws = [d2 for _, d2 in BATCH_LAWS]
+    law = np.arange(BATCH_POINTS.size) % len(laws)
+    batch = end_to_end_cdf(d1, laws, BATCH_POINTS, combiner, 1e-9, law=law)
+    alone = [end_to_end_cdf(d1, laws[k], g, combiner, 1e-9)
+             for k, g in zip(law, BATCH_POINTS)]
+    assert batch.tolist() == alone
+    for bad in (law[:-1], law + 1, law.astype(float)):
+        with pytest.raises(ValueError):
+            end_to_end_cdf(d1, laws, BATCH_POINTS, combiner, 1e-9, law=bad)
+
+
 def test_array_call_shapes_and_zero():
     value = end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 1.0)
     assert type(value) is float
@@ -187,6 +201,7 @@ def test_one_nonconvergent_element_fails_the_whole_call():
     with pytest.raises(ConvergenceError) as batch:
         end_to_end_cdf(hop, hop, np.array([1.0, 1e-6, 3.0]))
     assert "snr=1e-06" in str(batch.value)
+    assert batch.value.failed == (1,)
     assert batch.value.value == alone.value.value
     assert batch.value.error_estimate == alone.value.error_estimate
     with pytest.raises(ConvergenceError):

@@ -9,7 +9,8 @@ import pytest
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
 from twohop.fading import GammaSnr, MaxGammaSnr
 from twohop.numerics import gaussian_q
-from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
+from twohop.relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
+from twohop.scenario import load_scenario
 from twohop.ser import (
     PskModulation,
     conditional_sep,
@@ -21,6 +22,11 @@ from twohop.ser import (
 BPSK = PskModulation.bpsk()
 PSK8 = PskModulation.psk(8)
 PSK16 = PskModulation.psk(16)
+
+
+def any_owner(cdf):
+    """``cdf`` as a ser_from_cdf callable: every integrand sees the same law."""
+    return lambda g, owner: cdf(g)
 
 
 def rayleigh_bpsk_ser(mean: float) -> float:
@@ -68,21 +74,22 @@ def test_conditional_sep():
 
 
 def test_certain_error_gives_half_a():
-    certain = lambda g: np.ones_like(g)
-    for mod in (BPSK, PSK8, PSK16):
-        assert abs(ser_from_cdf(mod, certain, tol=1e-9) - mod.a / 2.0) <= 1e-9
+    certain = lambda g, owner: np.ones_like(g)
+    mods = (BPSK, PSK8, PSK16)
+    for mod, got in zip(mods, ser_from_cdf(mods, certain, tol=1e-9)):
+        assert abs(got - mod.a / 2.0) <= 1e-9
 
 
 def test_step_cdf_matches_q_value():
     g0 = 4.77476785304162
-    step = lambda g: (g >= g0).astype(float)
-    got = ser_from_cdf(BPSK, step, tol=1e-9)
+    step = lambda g, owner: (g >= g0).astype(float)
+    got, = ser_from_cdf([BPSK], step, tol=1e-9)
     assert abs(got - 1e-3) <= 1e-8
 
 
 def test_rayleigh_bpsk_closed_form():
     for mean in (1.0, 10.0, 100.0):
-        got = ser_from_cdf(BPSK, GammaSnr(1.0, mean).cdf)
+        got, = ser_from_cdf([BPSK], any_owner(GammaSnr(1.0, mean).cdf))
         assert abs(got - rayleigh_bpsk_ser(mean)) < 1e-6
 
 
@@ -91,20 +98,20 @@ def test_cdf_form_equals_direct_form():
     surrogates = [GammaSnr(1.0, 2.0), GammaSnr(3.5, 0.4),
                   MaxGammaSnr(GammaSnr(2.0, 5.0), 3)]
     for dist in surrogates:
-        for mod in (BPSK, PSK16):
-            via_cdf = ser_from_cdf(mod, dist.cdf)
+        mods = (BPSK, PSK16)
+        for mod, via_cdf in zip(mods, ser_from_cdf(mods, any_owner(dist.cdf))):
             via_pdf = ser_direct(mod, dist)
             assert abs(via_cdf - via_pdf) <= 1e-6
 
 
 def test_larger_kernel_b_never_hurts():
     # with equal a, a larger b decays the kernel faster: PSK8 vs PSK16
-    cdf = GammaSnr(2.0, 5.0).cdf
-    assert ser_from_cdf(PSK8, cdf) <= ser_from_cdf(PSK16, cdf)
+    psk8, psk16 = ser_from_cdf((PSK8, PSK16), any_owner(GammaSnr(2.0, 5.0).cdf))
+    assert psk8 <= psk16
 
 
 def test_ser_decreases_with_mean_snr():
-    values = [ser_from_cdf(BPSK, GammaSnr(2.0, mean).cdf)
+    values = [ser_from_cdf([BPSK], any_owner(GammaSnr(2.0, mean).cdf))[0]
               for mean in (1.0, 5.0, 25.0)]
     assert values[0] > values[1] > values[2]
 
@@ -119,9 +126,9 @@ def test_transparent_second_hop_saturates_to_single_hop():
     link = _mimo3_link()
     d1 = effective_distribution(replace(link.hop1, mean_branch_snr=10 ** 0.3))
     d2 = effective_distribution(replace(link.hop2, mean_branch_snr=1e6))
-    combined = ser_from_cdf(
-        BPSK, lambda g: end_to_end_cdf(d1, d2, g, Combiner.EXACT, 1e-9))
-    single = ser_from_cdf(BPSK, d1.cdf)
+    combined, = ser_from_cdf(
+        [BPSK], any_owner(lambda g: end_to_end_cdf(d1, d2, g, Combiner.EXACT, 1e-9)))
+    single, = ser_from_cdf([BPSK], any_owner(d1.cdf))
     assert abs(combined - single) <= 1e-3
     assert combined >= single  # the relay hop can only hurt
 
@@ -142,9 +149,9 @@ def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
 
     requested = []
 
-    def counting_cdf(d1, d2, snr, *args):
+    def counting_cdf(d1, d2, snr, *args, **kwargs):
         requested.append(np.size(snr))
-        return end_to_end_cdf(d1, d2, snr, *args)
+        return end_to_end_cdf(d1, d2, snr, *args, **kwargs)
 
     monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
     link = _mimo3_link()
@@ -176,6 +183,113 @@ def test_sweep_records_failed_points_instead_of_aborting():
     ser = ser_sweep(link, [BPSK, PSK8], np.array([5.0]), 3.0, tol=1e-15)
     assert ser.shape == (2, 1)
     assert np.all(np.isnan(ser))
+
+
+def test_stuck_integrand_leaves_the_rest_of_the_batch_alone(monkeypatch):
+    import twohop.ser as ser_module
+
+    batch_sizes = []
+    real_batch = ser_module.integrate_semi_infinite_batch
+
+    def counting_batch(f, lo, *args, **kwargs):
+        batch_sizes.append(np.size(lo))
+        return real_batch(f, lo, *args, **kwargs)
+
+    monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
+    g0 = 4.77476785304162
+    step = lambda g: (g >= g0).astype(float)
+    # a square wave of period 2e-6: no 2,048 intervals resolve it, and the
+    # doubling refinement exhausts them before the step integrands finish
+    square_wave = lambda g: np.floor(g * 1e6) % 2.0
+    mods = (BPSK, PSK8, PSK16)
+    got = ser_from_cdf(mods, lambda g, owner: np.where(owner == 1, square_wave(g), step(g)),
+                       tol=1e-9)
+    assert batch_sizes == [3, 2]  # the stuck integrand stopped the batch; two reran
+    assert np.isnan(got[1])
+    for i in (0, 2):
+        alone, = ser_from_cdf([mods[i]], any_owner(step), tol=1e-9)
+        assert got[i] == alone
+
+
+def _tas_harmonic_link() -> LinkScenario:
+    """TAS_MRC 2x2 then TAS_MRC 2x1, m = 0.5, harmonic combiner.
+
+    At a hop-1 mean of 4 dB its 19 dB point has a CDF element that cannot
+    converge (the seed-410 op of bench/BASELINE.md).
+    """
+    return LinkScenario(HopConfig(2, 2, 0.5, 1.0, CombiningScheme.TAS_MRC),
+                        HopConfig(2, 1, 0.5, 1.0, CombiningScheme.TAS_MRC),
+                        Combiner.HARMONIC)
+
+
+def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch):
+    import twohop.ser as ser_module
+
+    stuck = []
+
+    def recording_cdf(d1, d2, snr, *args, law, **kwargs):
+        try:
+            return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+        except ConvergenceError as exc:
+            stuck.extend((int(law[i]), float(snr[i])) for i in exc.failed)
+            raise
+
+    monkeypatch.setattr(ser_module, "end_to_end_cdf", recording_cdf)
+    link = _tas_harmonic_link()
+    mods = (BPSK, PSK8, PSK16)
+    grid = [15.0, 19.0]
+    ser = ser_sweep(link, mods, grid, 4.0)
+    assert np.isnan(ser).tolist() == [[False, True], [False, True], [False, False]]
+    assert ser[2, 1] == 0.5315316844508701
+    # the failures are CDF elements of the 19 dB law, all near gamma = 1.14e-6
+    assert stuck
+    assert all(law == 1 and math.isclose(g, 1.14e-6, rel_tol=0.01) for law, g in stuck)
+    monkeypatch.undo()
+    for i, mod in enumerate(mods):
+        for j, db in enumerate(grid):
+            alone = ser_sweep(link, [mod], [db], 4.0)
+            assert np.array_equal(alone[0, 0], ser[i, j], equal_nan=True), (mod.label, db)
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_sweep_equals_stacked_single_point_sweeps(combiner):
+    link = LinkScenario(HopConfig(2, 2, 1.5, 1.0, CombiningScheme.STBC_MRC),
+                        HopConfig(2, 3, 0.5, 1.0, CombiningScheme.TAS_MRC), combiner)
+    assert isinstance(effective_distribution(link.hop2), MaxGammaSnr)
+    grid = [0.0, 6.0, 12.0, 18.0]
+    mods = (BPSK, PSK16)
+    swept = ser_sweep(link, mods, grid, 3.0)
+    single = np.hstack([ser_sweep(link, mods, [db], 3.0) for db in grid])
+    assert np.all(np.isfinite(swept))
+    assert np.array_equal(swept, single, equal_nan=True)
+
+
+def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scenario_dir):
+    import twohop.ser as ser_module
+
+    requests = []
+    rounds = []
+    real_batch = ser_module.integrate_semi_infinite_batch
+
+    def counting_cdf(d1, d2, snr, *args, law, **kwargs):
+        requests.append(list(zip(law.tolist(), snr.tolist())))
+        return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+
+    def counting_batch(f, *args, **kwargs):
+        def integrand(x, owner):
+            rounds.append(x.size)
+            return f(x, owner)
+        return real_batch(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
+    scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
+    ser = ser_sweep(scenario.link(), scenario.modulations, scenario.sweep.values(),
+                    scenario.hop1_snr_db[0])
+    assert ser.shape == (3, 21) and np.all(np.isfinite(ser))
+    assert len(requests) == len(rounds) > 0
+    pairs = [pair for request in requests for pair in request]
+    assert len(pairs) == len(set(pairs))
 
 
 def test_quantile_spot_check_against_conditional_sep():
