@@ -6,6 +6,11 @@ integrators are its one-integrand case.  All quadrature nodes are interior,
 so integrands may be singular (or merely undefined) at interval endpoints
 as long as the integral itself is finite.  Integrands must accept a 1-D
 ndarray of abscissae and return a same-shaped ndarray.
+
+Each integrand ends either converged or not: one that runs out of room
+retires with its best estimate and ``converged=False`` while the rest of
+the batch goes on.  Callers turn that flag into NaN; nothing here raises
+on non-convergence.
 """
 
 from __future__ import annotations
@@ -88,17 +93,15 @@ class QuadratureResult:
 class BatchQuadrature:
     """Per-integrand outcome of one ``integrate_batch`` call (1-D arrays).
 
-    ``converged`` carries the QuadratureResult guarantee.  ``stuck`` marks
-    integrands that ran out of intervals (or of splittable width) first;
-    the batch stops in the round where that happens, so integrands with
-    neither flag were left unfinished and hold their estimate so far.
+    ``converged`` carries the QuadratureResult guarantee; where it is
+    False the integrand ran out of intervals (or of splittable width) and
+    holds its best estimate.
     """
 
     value: np.ndarray
     error_estimate: np.ndarray
     evaluations: np.ndarray
     converged: np.ndarray
-    stuck: np.ndarray
 
 
 # Intervals per integrand call: bounds the live node array however many
@@ -140,12 +143,12 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
     ``[lo[i], hi[i]]``, and every refinement round bisects all of its
     intervals whose local error exceeds an equal share of half the
     remaining budget (at least the worst one), so flat regions are left
-    alone while problem spots are chased.  An integrand retires once its
-    summed local errors drop below ``tol * max(|value|, abs_floor)``.  One
-    that first reaches ``max_intervals`` (or has no interval left wider
-    than rounding) stops the whole batch, with the best estimates returned
-    rather than raised.  Every decision and sum is per integrand, so an
-    integrand's result does not depend on the rest of the batch.
+    alone while problem spots are chased.  An integrand retires converged
+    once its summed local errors drop below ``tol * max(|value|, abs_floor)``,
+    and unconverged, with its best estimate, once it reaches
+    ``max_intervals`` or has no interval left wider than rounding.  Every
+    decision and sum is per integrand, so an integrand's result does not
+    depend on the rest of the batch.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -162,7 +165,6 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
     value = np.zeros(n)
     error = np.zeros(n)
     converged = np.zeros(n, dtype=bool)
-    stuck = np.zeros(n, dtype=bool)
     count = np.ones(n, dtype=np.int64)          # live intervals per integrand
     evaluated = np.ones(n, dtype=np.int64)      # intervals evaluated so far
     width_floor = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0) * 1e-15
@@ -184,19 +186,16 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         error[active] = total_err[active]
         done = active & (total_err <= target)
         converged |= done
+        splittable = (b - a) > width_floor[owner]
+        done |= active & ((count >= max_intervals)
+                          | (np.bincount(owner[splittable], minlength=n) == 0))
         if done.any():
             keep = ~done[owner]
             a, b, vals, errs, owner = a[keep], b[keep], vals[keep], errs[keep], owner[keep]
+            splittable = splittable[keep]
             active &= ~done
             if not owner.size:
                 break
-
-        splittable = (b - a) > width_floor[owner]
-        blocked = active & ((count >= max_intervals)
-                            | (np.bincount(owner[splittable], minlength=n) == 0))
-        if blocked.any():
-            stuck |= blocked
-            break
 
         pick = splittable & (errs > (target / (2.0 * count))[owner])
         for i in np.flatnonzero(active & (np.bincount(owner[pick], minlength=n) == 0)):
@@ -224,7 +223,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         vals = np.concatenate([vals[rest], sub_vals])
         errs = np.concatenate([errs[rest], sub_errs])
 
-    return BatchQuadrature(value, error, evaluated * _NODES.size, converged, stuck)
+    return BatchQuadrature(value, error, evaluated * _NODES.size, converged)
 
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,
@@ -288,7 +287,7 @@ def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *, scale,
     """``integrate_semi_infinite`` for a batch: ``f(x, owner)`` over ``[lo[i], inf)``.
 
     ``lo`` and ``scale`` are 1-D arrays, one entry per integrand; the
-    batch runs through ``integrate_batch``, with its early stop.
+    batch runs through ``integrate_batch``.
     """
     n = np.size(lo)
     return integrate_batch(_unit_interval(f, lo, scale), np.zeros(n), np.ones(n), tol,

@@ -17,7 +17,9 @@ For the CDF at gamma, condition on the hop-2 SNR y:
 Hence F_eq(gamma) = F2(gamma) + integral over (gamma, inf) of
 F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
 batch of adaptive quadratures after mapping the semi-infinite range onto
-[0, 1).
+[0, 1).  A gamma whose quadrature does not converge comes back as NaN;
+only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
+``ConvergenceError`` for it.
 """
 
 from __future__ import annotations
@@ -48,18 +50,7 @@ class Combiner(Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature missed the requested tolerance; carries the best estimate.
-
-    ``failed`` holds the flat indices of the requested elements found
-    unable to converge, when the raiser knows them (``end_to_end_cdf``).
-    """
-
-    def __init__(self, message: str, value: float, error_estimate: float,
-                 failed: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.failed = failed
+    """A result the caller cannot return as NaN did not converge."""
 
 
 @dataclass(frozen=True)
@@ -115,9 +106,8 @@ def end_to_end_cdf(d1: HopDistribution, d2, snr,
     when ``law`` is given: an integer array of ``snr``'s shape whose
     entries index ``d2``, one per element.  All elements run as one batch
     of inner quadratures, and each value is bit-identical to a call with
-    that element (and its law) alone.  One element that cannot converge
-    raises ConvergenceError for the call; its ``failed`` lists the flat
-    indices of every element found stuck.
+    that element (and its law) alone.  An element whose quadrature does
+    not converge is NaN; the others are unaffected.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -136,7 +126,7 @@ def end_to_end_cdf(d1: HopDistribution, d2, snr,
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat > 0.0)
     if pos.size:
-        out[pos] = _positive_cdf(d1, laws, which[pos], flat[pos], pos, combiner, tol)
+        out[pos] = _positive_cdf(d1, laws, which[pos], flat[pos], combiner, tol)
     if gamma.ndim == 0:
         return float(out[0])
     return out.reshape(gamma.shape)
@@ -154,8 +144,8 @@ def _by_law(laws: tuple, law: np.ndarray, method: str, x: np.ndarray) -> np.ndar
 
 
 def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.ndarray,
-                  index: np.ndarray, combiner: Combiner, tol: float) -> np.ndarray:
-    """F_eq at positive ``gamma`` (hop-2 law ``laws[law[i]]``); ``index`` maps to the request."""
+                  combiner: Combiner, tol: float) -> np.ndarray:
+    """F_eq at positive ``gamma`` (hop-2 law ``laws[law[i]]``), NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
 
     def integrand(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -175,27 +165,23 @@ def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.n
     result = integrate_semi_infinite_batch(integrand, gamma, tol,
                                            scale=np.maximum(scale, gamma))
     raw = _by_law(laws, law, "cdf", gamma) + result.value
-    value = np.clip(raw, 0.0, 1.0)
-    finished = result.converged | result.stuck
-    clamped = finished & (np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6))
-    for i in np.flatnonzero(clamped):
+    value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
+    # NaN compares False, so only a converged value can report a clamp.
+    for i in np.flatnonzero(np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6)):
         warnings.warn(
             f"end-to-end CDF clamped from {float(raw[i])!r} to {float(value[i])!r} "
             f"at snr={float(gamma[i])!r}", RuntimeWarning)
-    if result.stuck.any():
-        i = int(np.argmax(result.stuck))
-        raise ConvergenceError(
-            f"end-to-end CDF quadrature did not converge at snr={gamma[i]:g} "
-            f"(best estimate {value[i]:.6g}, error estimate {result.error_estimate[i]:.3g})",
-            float(value[i]), float(result.error_estimate[i]),
-            tuple(index[result.stuck].tolist()))
     return value
 
 
 def end_to_end_cdf_grid(d1: HopDistribution, d2: HopDistribution, grid,
                         combiner: Combiner = Combiner.EXACT,
                         tol: float = DEFAULT_CDF_TOL) -> np.ndarray:
-    """``end_to_end_cdf`` over a strictly increasing grid, clamped monotone."""
+    """``end_to_end_cdf`` over a strictly increasing grid, clamped monotone.
+
+    A table has no use for a NaN cell, so a grid point whose quadrature
+    does not converge raises ConvergenceError naming the first such point.
+    """
     points = np.asarray(grid, dtype=float)
     if points.ndim != 1 or points.size == 0:
         raise ValueError("grid must be a nonempty 1-D sequence")
@@ -203,4 +189,8 @@ def end_to_end_cdf_grid(d1: HopDistribution, d2: HopDistribution, grid,
         raise ValueError("grid values must be nonnegative")
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise ValueError("grid must be strictly increasing")
-    return np.maximum.accumulate(end_to_end_cdf(d1, d2, points, combiner, tol))
+    values = end_to_end_cdf(d1, d2, points, combiner, tol)
+    if np.isnan(values).any():
+        raise ConvergenceError("end-to-end CDF quadrature did not converge at "
+                               f"snr={points[np.argmax(np.isnan(values))]:g}")
+    return np.maximum.accumulate(values)

@@ -62,7 +62,7 @@ _PLACEMENTS = {
     "SIMO_MISO": (CombiningScheme.MRC, CombiningScheme.STBC, ("n_s", "n_d")),
 }
 _CASES = (*_PLACEMENTS, "CUSTOM")
-_MODULATIONS = ("BPSK", "PSK8", "PSK16")
+_MODULATIONS = {"BPSK": 2, "PSK8": 8, "PSK16": 16}
 # Largest number of points a sweep or a CDF grid may ask for.
 MAX_SWEEP_POINTS = 10_000
 _COMMON_KEYS = {
@@ -203,7 +203,7 @@ def parse_modulations(raw: str, field: str) -> tuple[PskModulation, ...]:
         if token not in _MODULATIONS:
             raise ScenarioError(f"{field} entries must be among {allowed}, got {token!r}",
                                 field=field)
-    return tuple(PskModulation.from_label(t) for t in tokens)
+    return tuple(PskModulation(_MODULATIONS[t]) for t in tokens)
 
 
 def placement_hops(case: str, n_s: int, n_r: int, n_d: int,

@@ -10,6 +10,9 @@ Averaging over the SNR law and integrating by parts gives
 which needs only the CDF.  The substitution gamma = u^2 removes the
 integrable singularity at the origin, leaving the smooth integrand
 a*sqrt(b/pi) * e^(-b*u^2) * F(u^2).
+
+An SER whose quadrature does not converge, or whose integrand meets a
+CDF value that did not, is NaN; nothing here raises on non-convergence.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .diversity import effective_distribution
 from .fading import HopDistribution
 from .numerics import (DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite,
                        integrate_semi_infinite_batch)
-from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
+from .relay import Combiner, LinkScenario, end_to_end_cdf
 
 __all__ = [
     "PskModulation",
@@ -35,52 +38,27 @@ __all__ = [
 ]
 
 
-def _constants_for(order: int) -> tuple[float, float]:
-    if order < 2 or order & (order - 1):
-        raise ValueError(f"order must be a power of two >= 2, got {order}")
-    if order == 2:
-        return 1.0, 1.0
-    return 2.0, math.sin(math.pi / order) ** 2
-
-
 @dataclass(frozen=True)
 class PskModulation:
-    """PSK constellation with its SEP kernel constants (a, b)."""
+    """PSK constellation of ``order`` points; its SEP kernel constants follow from it."""
 
     order: int
-    a: float
-    b: float
 
     def __post_init__(self):
-        expected_a, expected_b = _constants_for(self.order)
-        if not (math.isclose(self.a, expected_a, rel_tol=1e-12)
-                and math.isclose(self.b, expected_b, rel_tol=1e-12)):
-            raise ValueError(
-                f"(a, b) = ({self.a}, {self.b}) do not match order {self.order}")
+        if self.order < 2 or self.order & (self.order - 1):
+            raise ValueError(f"order must be a power of two >= 2, got {self.order}")
+
+    @property
+    def a(self) -> float:
+        return 1.0 if self.order == 2 else 2.0
+
+    @property
+    def b(self) -> float:
+        return 1.0 if self.order == 2 else math.sin(math.pi / self.order) ** 2
 
     @property
     def label(self) -> str:
         return "BPSK" if self.order == 2 else f"PSK{self.order}"
-
-    @classmethod
-    def psk(cls, order: int) -> "PskModulation":
-        a, b = _constants_for(order)
-        return cls(order=order, a=a, b=b)
-
-    @classmethod
-    def bpsk(cls) -> "PskModulation":
-        return cls.psk(2)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PskModulation":
-        token = label.strip().upper()
-        if token == "BPSK":
-            return cls.psk(2)
-        if token.startswith("PSK") and token[3:].isdigit():
-            order = int(token[3:])
-            if order >= 4:
-                return cls.psk(order)
-        raise ValueError(f"unknown modulation {label!r}")
 
 
 def conditional_sep(mod: PskModulation, snr):
@@ -101,53 +79,41 @@ def ser_from_cdf(mods, cdf, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     ndarray of linear SNRs, ``g[j]`` asked for by integrand ``owner[j]``,
     to probabilities of the same shape; a NaN marks a value it could not
     compute and fails every integrand that asks for it.  Returns an array
-    of ``len(mods)`` SERs, NaN where the quadrature did not converge.
-    An integrand that runs out of intervals stops the batch, so the
-    unfinished ones run again without it; every value is bit-identical
+    of ``len(mods)`` SERs to relative tolerance ``tol`` in (0, 1e-2], NaN
+    where the quadrature did not converge.  Every value is bit-identical
     to a batch of that modulation alone.
     """
     mods = tuple(mods)
     if not mods:
         raise ValueError("at least one modulation is required")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol <= 1e-2:
+        raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
+    a = np.array([mod.a for mod in mods])
     b = np.array([mod.b for mod in mods])
     failed = np.zeros(len(mods), dtype=bool)
 
-    def integrand_of(batch: np.ndarray):
-        def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            owner = batch[owner]
-            weight = np.exp(-b[owner] * u * u)
-            out = np.zeros_like(u)
-            live = (weight > 0.0) & ~failed[owner]
-            if live.any():
-                u_live = u[live]
-                values = np.asarray(cdf(u_live * u_live, owner[live]), dtype=float)
-                failed[owner[live][np.isnan(values)]] = True
-                out[live] = weight[live] * values
-                # A failed integrand integrates zero from here on, so it
-                # retires without further CDF requests.
-                out[failed[owner]] = 0.0
-            return out
-        return integrand
+    def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        weight = np.exp(-b[owner] * u * u)
+        out = np.zeros_like(u)
+        live = (weight > 0.0) & ~failed[owner]
+        if live.any():
+            u_live = u[live]
+            values = np.asarray(cdf(u_live * u_live, owner[live]), dtype=float)
+            failed[owner[live][np.isnan(values)]] = True
+            out[live] = weight[live] * values
+            # A failed integrand integrates zero from here on, so it
+            # retires without further CDF requests.
+            out[failed[owner]] = 0.0
+        return out
 
-    ser = np.full(len(mods), math.nan)
-    todo = np.arange(len(mods))
-    while todo.size:
-        n = todo.size
-        result = integrate_semi_infinite_batch(integrand_of(todo), np.zeros(n), tol,
-                                               scale=np.ones(n))
-        ok = result.converged & ~failed[todo]
-        for i, value in zip(todo[ok], result.value[ok].tolist()):
-            mod = mods[i]
-            value = mod.a * math.sqrt(mod.b / math.pi) * value
-            ser[i] = min(max(value, 0.0), mod.a / 2.0)
-        todo = todo[~(result.converged | result.stuck | failed[todo])]
-    return ser
+    n = len(mods)
+    result = integrate_semi_infinite_batch(integrand, np.zeros(n), tol, scale=np.ones(n))
+    ser = np.minimum(np.maximum(a * np.sqrt(b / math.pi) * result.value, 0.0), a / 2.0)
+    return np.where(result.converged & ~failed, ser, math.nan)
 
 
 def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
-    """Average SEP by quadrature over the density of ``dist``.
+    """Average SEP by quadrature over the density of ``dist``, NaN if it did not converge.
 
     The integration-by-parts counterpart of ser_from_cdf, kept as its
     independent reference.
@@ -158,13 +124,9 @@ def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
         return gaussian_q(root_2b * u) * np.asarray(dist.pdf(u * u)) * 2.0 * u
 
     result = integrate_semi_infinite(integrand, 0.0, tol)
-    value = mod.a * result.value
-    value = min(max(value, 0.0), mod.a / 2.0)
     if not result.converged:
-        raise ConvergenceError(
-            f"direct SER quadrature did not converge (best estimate {value:.6g})",
-            value, result.error_estimate)
-    return value
+        return math.nan
+    return min(max(mod.a * result.value, 0.0), mod.a / 2.0)
 
 
 def shared_cdf(d1: HopDistribution, d2s, combiner: Combiner = Combiner.EXACT,
@@ -172,30 +134,24 @@ def shared_cdf(d1: HopDistribution, d2s, combiner: Combiner = Combiner.EXACT,
     """End-to-end CDFs for SER quadratures of tolerance ``ser_tol``, memoized by (law, gamma).
 
     ``cdf(g, law)`` is F_eq at ``g[j]`` with hop-2 law ``d2s[law[j]]``.
-    The CDF runs ``NESTED_TIGHTENING`` times tighter than the SER (at most
-    1e-2).  Every SER integral maps gamma = u^2 onto the same dyadic grid
-    in t, so modulations evaluated at one operating point request many of
-    the same floats; each (law, gamma) is computed once, and a call's
-    missing pairs go to one ``end_to_end_cdf`` batch, whose values equal
-    the values computed alone.  A pair whose inner quadrature cannot
-    converge is NaN from then on; the rest of its batch is computed again.
+    The CDF runs ``NESTED_TIGHTENING`` times tighter than the SER.  Every
+    SER integral maps gamma = u^2 onto the same dyadic grid in t, so
+    modulations evaluated at one operating point request many of the same
+    floats; each (law, gamma) is computed once, and a call's missing pairs
+    go to one ``end_to_end_cdf`` batch, whose values equal the values
+    computed alone.  A pair whose inner quadrature does not converge is
+    memoized as the NaN that batch returns.
     """
-    cdf_tol = min(ser_tol / NESTED_TIGHTENING, 1e-2)
+    cdf_tol = ser_tol / NESTED_TIGHTENING
     memo: dict[tuple[int, float], float] = {}
 
     def cdf(g, law):
         keys = list(zip(np.asarray(law).tolist(), np.asarray(g, dtype=float).tolist()))
         missing = [k for k in dict.fromkeys(keys) if k not in memo]
-        while missing:
+        if missing:
             laws, gammas = (np.array(column) for column in zip(*missing))
-            try:
-                values = end_to_end_cdf(d1, d2s, gammas, combiner, cdf_tol, law=laws)
-            except ConvergenceError as exc:
-                memo.update((missing[i], math.nan) for i in exc.failed)
-                missing = [k for k in missing if k not in memo]
-            else:
-                memo.update(zip(missing, values.tolist()))
-                missing = []
+            values = end_to_end_cdf(d1, d2s, gammas, combiner, cdf_tol, law=laws)
+            memo.update(zip(missing, values.tolist()))
         return np.array([memo[k] for k in keys])
 
     return cdf

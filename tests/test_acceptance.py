@@ -28,7 +28,7 @@ from twohop.scenario import load_scenario
 from twohop.ser import PskModulation, ser_direct, ser_from_cdf, ser_sweep
 
 HOP1_DB = 3.0
-MODS = (PskModulation.bpsk(), PskModulation.psk(8), PskModulation.psk(16))
+MODS = (PskModulation(2), PskModulation(8), PskModulation(16))
 
 
 def criterion(number, label):
@@ -173,7 +173,7 @@ def test_criterion_4_degenerate_values():
 
 @criterion(5, "single-hop Rayleigh BPSK closed form")
 def test_criterion_5_rayleigh_closed_form():
-    bpsk = PskModulation.bpsk()
+    bpsk = PskModulation(2)
     failures = []
     for mean in (1.0, 10.0, 100.0):
         expected = 0.5 * (1.0 - np.sqrt(mean / (1.0 + mean)))
@@ -215,7 +215,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
             failures.append(f"(c) antenna-count dominance violated for {label}")
 
     # (d) balanced arrays beat both lopsided placements (equal antenna budget)
-    bpsk = PskModulation.bpsk()
+    bpsk = PskModulation(2)
     miso_simo = load_scenario(scenario_dir / "miso_simo_n3.scenario").link()
     simo_miso = LinkScenario(
         HopConfig(1, 3, 1.0, 1.0, CombiningScheme.MRC),

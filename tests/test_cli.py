@@ -8,7 +8,7 @@ paths redirect stderr explicitly.
 import io
 import subprocess
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -218,10 +218,16 @@ def test_validate_reports_failures(mini_path, tmp_path, monkeypatch):
 
 
 def test_validate_unreachable_tolerance_exits_three(mini_path):
-    code, err = run_main(["validate", "--scenario", mini_path,
-                          "--samples", "2000", "--tol", "1e-30"])
-    assert code == 3
-    assert "numerical non-convergence" in err
+    for argv, detail in [
+        (["validate", "--samples", "2000"], "did not converge"),
+        (["cdf", "--grid", "0.5,1,2", "--samples", "2000"], "snr=0.5"),
+    ]:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code, err = run_main(argv + ["--scenario", mini_path, "--tol", "1e-30"])
+        assert code == 3, argv
+        assert out.getvalue() == "", argv
+        assert "numerical non-convergence" in err and detail in err, argv
 
 
 def test_ser_sweep_nonconvergence_writes_nan_rows(tmp_path):
@@ -392,6 +398,9 @@ def test_common_flag_and_file_errors(mini_path, tmp_path):
     for argv, field in [
         (["ser-sweep", "--scenario", mini_path, "--tol", "0"], "tol"),
         (["cdf", "--scenario", mini_path, "--tol", "0.5"], "tol"),
+        (["ser-sweep", "--scenario", mini_path, "--tol", "0.5"], "tol"),
+        (["ser-sweep", "--scenario", mini_path, "--tol", "inf"], "tol"),
+        (["compare-cases", "--n", "2", "--tol", "inf"], "tol"),
         (["ser-sweep", "--scenario", mini_path, "--threads", "0"], "threads"),
         (["ser-sweep", "--scenario", mini_path, "--samples", "0"], "samples"),
         (["ser-sweep", "--scenario", mini_path, "--seed", "-1"], "seed"),

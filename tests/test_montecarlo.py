@@ -22,9 +22,9 @@ from twohop.ser import PskModulation, conditional_sep
 HOP = HopConfig(3, 2, 1.0, 2.0, CombiningScheme.TAS_MRC)
 LINK = LinkScenario(HopConfig(2, 2, 1.0, 2.0, CombiningScheme.STBC_MRC),
                     HopConfig(2, 1, 1.0, 4.0, CombiningScheme.STBC))
-BPSK = PskModulation.bpsk()
-PSK8 = PskModulation.psk(8)
-MODS = (BPSK, PSK8, PskModulation.psk(16))
+BPSK = PskModulation(2)
+PSK8 = PskModulation(8)
+MODS = (BPSK, PSK8, PskModulation(16))
 
 
 def test_run_validation():
@@ -87,7 +87,7 @@ def test_empirical_cdf_counts():
 
 
 def test_mc_ser_matches_manual_mean():
-    mod = PskModulation.bpsk()
+    mod = PskModulation(2)
     samples = np.array([0.0, 1.0, 4.0, 9.0])
     estimate, halfwidth = mc_ser(mod, samples)
     sep = conditional_sep(mod, samples)

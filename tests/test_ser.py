@@ -9,8 +9,8 @@ import pytest
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
 from twohop.fading import GammaSnr, MaxGammaSnr
 from twohop.numerics import gaussian_q
-from twohop.relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf
-from twohop.scenario import load_scenario
+from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
+from twohop.scenario import load_scenario, parse_modulations
 from twohop.ser import (
     PskModulation,
     conditional_sep,
@@ -19,9 +19,9 @@ from twohop.ser import (
     ser_sweep,
 )
 
-BPSK = PskModulation.bpsk()
-PSK8 = PskModulation.psk(8)
-PSK16 = PskModulation.psk(16)
+BPSK = PskModulation(2)
+PSK8 = PskModulation(8)
+PSK16 = PskModulation(16)
 
 
 def any_owner(cdf):
@@ -39,26 +39,24 @@ def test_kernel_constants():
     assert PSK8.a == 2.0
     assert math.isclose(PSK8.b, 0.14644660940672624, rel_tol=1e-15)
     assert math.isclose(PSK16.b, 0.03806023374435662, rel_tol=1e-15)
-    assert math.isclose(PskModulation.psk(4).b, 0.5, rel_tol=1e-15)
+    assert math.isclose(PskModulation(4).b, 0.5, rel_tol=1e-15)
 
 
 def test_order_validation():
     for bad in (0, 1, 3, 6, -8):
         with pytest.raises(ValueError):
-            PskModulation.psk(bad)
-    with pytest.raises(ValueError):
-        PskModulation(order=8, a=1.0, b=PSK8.b)  # constants must match order
+            PskModulation(bad)
 
 
 def test_labels_round_trip():
     assert BPSK.label == "BPSK"
     assert PSK16.label == "PSK16"
     for mod in (BPSK, PSK8, PSK16):
-        assert PskModulation.from_label(mod.label) == mod
+        assert parse_modulations(mod.label, "modulations") == (mod,)
     with pytest.raises(ValueError):
-        PskModulation.from_label("QAM16")
+        parse_modulations("QAM16", "modulations")
     with pytest.raises(ValueError):
-        PskModulation.from_label("PSK2")  # spelled BPSK
+        parse_modulations("PSK2", "modulations")  # spelled BPSK
 
 
 def test_conditional_sep():
@@ -174,6 +172,8 @@ def test_sweep_validates_inputs():
     with pytest.raises(ValueError):
         ser_sweep(link, [BPSK], [0.0, 5.0], 3.0, tol=0.0)
     with pytest.raises(ValueError):
+        ser_sweep(link, [BPSK], [0.0, 5.0], 3.0, tol=0.5)
+    with pytest.raises(ValueError):
         ser_sweep(link, (), [0.0, 5.0], 3.0)
 
 
@@ -199,12 +199,13 @@ def test_stuck_integrand_leaves_the_rest_of_the_batch_alone(monkeypatch):
     g0 = 4.77476785304162
     step = lambda g: (g >= g0).astype(float)
     # a square wave of period 2e-6: no 2,048 intervals resolve it, and the
-    # doubling refinement exhausts them before the step integrands finish
+    # doubling refinement exhausts them before the step integrands finish,
+    # which then go on refining in the same batch
     square_wave = lambda g: np.floor(g * 1e6) % 2.0
     mods = (BPSK, PSK8, PSK16)
     got = ser_from_cdf(mods, lambda g, owner: np.where(owner == 1, square_wave(g), step(g)),
                        tol=1e-9)
-    assert batch_sizes == [3, 2]  # the stuck integrand stopped the batch; two reran
+    assert batch_sizes == [3]  # the stuck integrand retired alone; nothing reran
     assert np.isnan(got[1])
     for i in (0, 2):
         alone, = ser_from_cdf([mods[i]], any_owner(step), tol=1e-9)
@@ -228,11 +229,9 @@ def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch)
     stuck = []
 
     def recording_cdf(d1, d2, snr, *args, law, **kwargs):
-        try:
-            return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
-        except ConvergenceError as exc:
-            stuck.extend((int(law[i]), float(snr[i])) for i in exc.failed)
-            raise
+        values = end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+        stuck.extend(zip(law[np.isnan(values)].tolist(), snr[np.isnan(values)].tolist()))
+        return values
 
     monkeypatch.setattr(ser_module, "end_to_end_cdf", recording_cdf)
     link = _tas_harmonic_link()
@@ -284,12 +283,20 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
     monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
-    ser = ser_sweep(scenario.link(), scenario.modulations, scenario.sweep.values(),
-                    scenario.hop1_snr_db[0])
-    assert ser.shape == (3, 21) and np.all(np.isfinite(ser))
-    assert len(requests) == len(rounds) > 0
-    pairs = [pair for request in requests for pair in request]
-    assert len(pairs) == len(set(pairs))
+    sweeps = [
+        (scenario.link(), scenario.modulations, scenario.sweep.values(),
+         scenario.hop1_snr_db[0], 0),
+        # an inner CDF element that cannot converge costs no second request
+        (_tas_harmonic_link(), (BPSK, PSK8, PSK16), [15.0, 19.0], 4.0, 2),
+    ]
+    for link, mods, grid, hop1_db, lost in sweeps:
+        requests.clear()
+        rounds.clear()
+        ser = ser_sweep(link, mods, grid, hop1_db)
+        assert ser.shape == (len(mods), len(grid)) and np.isnan(ser).sum() == lost
+        assert len(requests) == len(rounds) > 0
+        pairs = [pair for request in requests for pair in request]
+        assert len(pairs) == len(set(pairs))
 
 
 def test_quantile_spot_check_against_conditional_sep():
