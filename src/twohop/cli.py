@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, metavar="N",
                         help="Monte-Carlo sample count (overrides the scenario)")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="Monte-Carlo worker threads (never changes results)")
+                        help="Monte-Carlo worker threads, capped at the CPU count "
+                             "(never changes results)")
     common.add_argument("--combiner", choices=[c.value for c in Combiner],
                         help="combiner override")
     common.add_argument("--full-precision", action="store_true",
@@ -200,12 +201,12 @@ def cmd_ser_sweep(args) -> int:
     link = scenario.link()
     mods = scenario.modulations
 
-    # mc[k][j][i]: (estimate, halfwidth) at hop1_snr_db[k], grid[j], mods[i]
+    # mc[k * grid.size + j][i]: (estimate, halfwidth) at hop1_snr_db[k], grid[j], mods[i]
     mc = []
     if use_mc:
         run = McRun(seed, samples, args.threads)
-        mc = [[est for _, est in sweep_eq_samples(link, mods, grid, hop1_db, run)]
-              for hop1_db in scenario.hop1_snr_db]
+        mc = [est for _, _, est in
+              sweep_eq_samples(link, mods, grid, scenario.hop1_snr_db, run)]
 
     lines = _meta("ser-sweep", scenario, tol,
                   seed if use_mc else None, samples if use_mc else None)
@@ -225,7 +226,8 @@ def cmd_ser_sweep(args) -> int:
                        _fmt_num(hop1_db), _fmt_num(db),
                        _fmt_prob(value, args.full_precision)]
                 if use_mc:
-                    row.extend(_fmt_prob(x, args.full_precision) for x in mc[k][j][i])
+                    row.extend(_fmt_prob(x, args.full_precision)
+                               for x in mc[k * grid.size + j][i])
                 lines.append(",".join(row))
                 if math.isnan(value):
                     failed.append((mod.label, hop1_db, db))

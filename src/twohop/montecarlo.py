@@ -1,4 +1,11 @@
-"""Branch-level Monte-Carlo oracle for hop laws, end-to-end SNR and SER.
+"""Monte-Carlo oracle for hop laws, end-to-end SNR and SER.
+
+Each hop SNR is drawn straight from the Gamma law that its combining
+scheme gives a sum of i.i.d. Nakagami-m branch SNRs: one variate per
+sample, or one per transmit antenna under TAS.  The shapes and the
+convention factors are worked out here from the ``HopConfig`` fields,
+not taken from ``diversity``, so the simulation stays an independent
+check of the antenna conventions that the analytic laws encode.
 
 Sampling is organized in fixed-size chunks; chunk i draws from a fresh
 generator seeded by SeedSequence((master_seed, stream, i)).  Workers only
@@ -11,7 +18,9 @@ identical for any worker_count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -61,12 +70,18 @@ def _chunk_rng(master_seed: int, stream: int, index: int) -> np.random.Generator
 
 
 def _map_chunks(run: McRun, job) -> list:
-    """[job(index, start, stop) for every chunk], in chunk order for any worker count."""
+    """[job(index, start, stop) for every chunk], in chunk order for any worker count.
+
+    The pool never has more threads than chunks or than the machine has
+    CPUs: extra threads could only wait, and results never depend on how
+    many there are.
+    """
     spans = [(i, start, min(start + _CHUNK, run.n_samples))
              for i, start in enumerate(range(0, run.n_samples, _CHUNK))]
-    if run.worker_count == 1 or len(spans) == 1:
+    workers = min(run.worker_count, len(spans), os.cpu_count() or 1)
+    if workers == 1:
         return [job(*span) for span in spans]
-    with ThreadPoolExecutor(max_workers=min(run.worker_count, len(spans))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda span: job(*span), spans))
 
 
@@ -82,16 +97,27 @@ def _run_chunked(run: McRun, stream: int, compute) -> np.ndarray:
 
 
 def _hop_chunk(cfg: HopConfig, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n effective hop SNRs by explicit per-branch simulation."""
-    branches = rng.gamma(cfg.m, cfg.mean_branch_snr / cfg.m,
-                         size=(n, cfg.n_tx, cfg.n_rx))
+    """Draw n effective hop SNRs: one Gamma variate per sample, n_tx under TAS_MRC.
+
+    A branch SNR under Nakagami-m fading is Gamma(m, theta) with theta =
+    mean_branch_snr / m, and a sum of k i.i.d. Gamma(m, theta) variates is
+    Gamma(k m, theta).  Each scheme's combined SNR is such a sum, so one
+    draw of the summed law is exact in distribution:
+
+    * MRC adds its n_rx receive branches;
+    * STBC adds its n_tx transmit branches and divides by n_tx, the
+      per-antenna power split;
+    * STBC_MRC adds all n_tx x n_rx branches, with the same split;
+    * TAS_MRC takes the largest of n_tx independent n_rx-branch MRC sums.
+    """
+    theta = cfg.mean_branch_snr / cfg.m
     if cfg.scheme is CombiningScheme.MRC:
-        return branches[:, 0, :].sum(axis=1)
+        return rng.gamma(cfg.m * cfg.n_rx, theta, n)
     if cfg.scheme is CombiningScheme.STBC:
-        return branches[:, :, 0].sum(axis=1) / cfg.n_tx
+        return rng.gamma(cfg.m * cfg.n_tx, theta, n) / cfg.n_tx
     if cfg.scheme is CombiningScheme.STBC_MRC:
-        return branches.sum(axis=(1, 2)) / cfg.n_tx
-    return branches.sum(axis=2).max(axis=1)  # TAS_MRC
+        return rng.gamma(cfg.m * cfg.n_tx * cfg.n_rx, theta, n) / cfg.n_tx
+    return rng.gamma(cfg.m * cfg.n_rx, theta, (n, cfg.n_tx)).max(axis=1)  # TAS_MRC
 
 
 def simulate_hop(cfg: HopConfig, run: McRun, stream: int = _HOP_STREAM) -> np.ndarray:
@@ -149,41 +175,44 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
 
 
 def sweep_eq_samples(scenario: LinkScenario, mods, hop2_mean_db_grid,
-                     hop1_mean_db: float, run: McRun):
-    """Yield (hop2_db, ((estimate, halfwidth), ...) in ``mods`` order) per sweep point.
+                     hop1_mean_dbs, run: McRun):
+    """Yield (hop1_db, hop2_db, ((estimate, halfwidth), ...) in ``mods`` order).
 
-    Each value is ``mc_ser`` of that point's equivalent-SNR samples,
-    computed in one streamed pass.  The effective hop SNR scales linearly
-    with the per-branch mean for every scheme (sums and maxima are
-    1-homogeneous), so each chunk draws hop 1 and a unit-mean hop 2 once
-    and rescales hop 2 per point; points share a common random base, which
-    removes sampling jitter between them.  A chunk job turns its draws
-    into SEP moments for every point and modulation, and the moments are
-    merged in chunk order, so memory is O(workers x chunk), not
-    O(points x n_samples).
+    One item per (hop-1 mean, hop-2 mean) pair, hop-1 mean by hop-1 mean
+    and the hop-2 grid in order within each.  Each value is ``mc_ser`` of
+    that pair's equivalent-SNR samples, computed in one streamed pass.
+    The effective hop SNR scales linearly with the per-branch mean for
+    every scheme (sums and maxima are 1-homogeneous), so each chunk draws
+    both hops once at unit mean and rescales them per pair; pairs share a
+    common random base, which removes sampling jitter between them.  A
+    chunk job turns its draws into SEP moments for every pair and
+    modulation, and the moments are merged in chunk order, so memory is
+    O(workers x chunk), not O(pairs x n_samples).
     """
     mods = tuple(mods)
-    grid = np.asarray(hop2_mean_db_grid, dtype=float)
-    hop1 = replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0))
+    hop1_dbs = np.asarray(hop1_mean_dbs, dtype=float).tolist()
+    hop2_dbs = np.asarray(hop2_mean_db_grid, dtype=float).tolist()
+    hop1 = replace(scenario.hop1, mean_branch_snr=1.0)
     hop2 = replace(scenario.hop2, mean_branch_snr=1.0)
-    scales = [10.0 ** (db / 10.0) for db in grid]
 
     def chunk(index, start, stop):
-        g1 = _hop_chunk(hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
-                        stop - start)
+        base1 = _hop_chunk(hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
+                           stop - start)
         base2 = _hop_chunk(hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
                            stop - start)
         moments = []
-        for scale in scales:
-            eq = equivalent_snr(g1, base2 * scale, scenario.combiner)
-            moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
+        for db1 in hop1_dbs:
+            g1 = base1 * 10.0 ** (db1 / 10.0)
+            for db2 in hop2_dbs:
+                eq = equivalent_snr(g1, base2 * 10.0 ** (db2 / 10.0), scenario.combiner)
+                moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
         return moments
 
     per_chunk = _map_chunks(run, chunk)
-    for j, db in enumerate(grid):
+    for p, (db1, db2) in enumerate(itertools.product(hop1_dbs, hop2_dbs)):
         estimates = []
         for k in range(len(mods)):
-            n, mean, m2 = functools.reduce(_merge, (c[j][k] for c in per_chunk))
+            n, mean, m2 = functools.reduce(_merge, (c[p][k] for c in per_chunk))
             halfwidth = 1.96 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
             estimates.append((mean, halfwidth))
-        yield float(db), tuple(estimates)
+        yield db1, db2, tuple(estimates)

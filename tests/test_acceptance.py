@@ -136,8 +136,8 @@ def test_criterion_3_ser_vs_mc(reference):
     run = McRun(5150, 1_000_000, 4)
     failures = []
     mods = reference.scenario.modulations
-    points = sweep_eq_samples(link, mods, reference.grid, HOP1_DB, run)
-    for j, (db, estimates) in enumerate(points):
+    points = sweep_eq_samples(link, mods, reference.grid, [HOP1_DB], run)
+    for j, (_, db, estimates) in enumerate(points):
         for mod, (estimate, _) in zip(mods, estimates):
             analytic = reference.curves[mod.label][j]
             if analytic < 1e-4:

@@ -435,7 +435,7 @@ def test_executable_module_interface(mini_path):
 
 
 def test_threads_never_change_golden_bytes(tmp_path):
-    """200k samples span four chunks, so three workers really interleave."""
+    """200k samples span four chunks, so three workers (or one per CPU) interleave."""
     root = Path(__file__).resolve().parent
     out = tmp_path / "sweep.csv"
     code, _ = run_main(["ser-sweep", "--scenario",

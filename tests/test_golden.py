@@ -8,6 +8,7 @@ does move a printed digit has to regenerate them and say why.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import csv
 import io
 import sys
 from contextlib import redirect_stderr
@@ -39,6 +40,28 @@ def test_golden_output(filename, argv, tmp_path):
     out = tmp_path / filename
     assert run_case(argv, out) == 0
     assert out.read_bytes() == (GOLDEN_DIR / filename).read_bytes()
+
+
+# The benchmark's acceptance band for a Monte-Carlo SER: 4.4 standard errors
+MC_BAND_Z = 4.4
+
+
+def test_golden_mc_columns_agree_with_the_analytic_ser():
+    """Each stored ser_mc lies within MC_BAND_Z standard errors of ser_analytical."""
+    checked, failures = 0, []
+    for path in sorted(GOLDEN_DIR.glob("ser-sweep__*.csv")):
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for row in csv.DictReader(lines):
+            if "ser_mc" not in row:
+                break
+            analytic, estimate = float(row["ser_analytical"]), float(row["ser_mc"])
+            std_err = float(row["mc_halfwidth"]) / 1.96
+            checked += 1
+            if not abs(estimate - analytic) <= MC_BAND_Z * std_err:
+                failures.append(f"{path.name} {row['modulation']} "
+                                f"hop1={row['hop1_snr_db']} hop2={row['hop2_snr_db']}")
+    assert checked > 0
+    assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from twohop import montecarlo
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
 from twohop.montecarlo import (
     McRun,
@@ -41,6 +43,64 @@ def test_worker_count_never_changes_samples():
     reference = simulate_hop(HOP, McRun(7, 150_000, 1))
     for workers in (2, 5, 8):
         assert np.array_equal(reference, simulate_hop(HOP, McRun(7, 150_000, workers)))
+
+
+def test_pool_never_outgrows_the_machine(monkeypatch):
+    created = []
+
+    class InlinePool:
+        """Records its size and runs every job on the calling thread."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    n = 20 * montecarlo._CHUNK
+    reference = simulate_hop(HOP, McRun(7, n, 1))
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    assert np.array_equal(simulate_hop(HOP, McRun(7, n, 10_000)), reference)
+    assert created == [2]
+
+
+def _per_branch(cfg: HopConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Reference sampler: every branch SNR drawn and combined explicitly."""
+    branches = rng.gamma(cfg.m, cfg.mean_branch_snr / cfg.m,
+                         size=(n, cfg.n_tx, cfg.n_rx))
+    if cfg.scheme is CombiningScheme.MRC:
+        return branches[:, 0, :].sum(axis=1)
+    if cfg.scheme is CombiningScheme.STBC:
+        return branches[:, :, 0].sum(axis=1) / cfg.n_tx
+    if cfg.scheme is CombiningScheme.STBC_MRC:
+        return branches.sum(axis=(1, 2)) / cfg.n_tx
+    return branches.sum(axis=2).max(axis=1)  # TAS_MRC
+
+
+KS_SAMPLES = 200_000
+# P(D > d) <= exp(-n d^2) for two samples of n each, asymptotically: d at 1e-6
+KS_CRITICAL = math.sqrt(-math.log(1e-6) / KS_SAMPLES)
+
+
+@pytest.mark.parametrize("cfg", [
+    HopConfig(1, 4, 0.5, 2.0, CombiningScheme.MRC),
+    HopConfig(4, 1, 0.5, 2.0, CombiningScheme.STBC),
+    HopConfig(3, 4, 1.5, 0.7, CombiningScheme.STBC_MRC),
+    HopConfig(3, 2, 0.5, 3.0, CombiningScheme.TAS_MRC),
+    HopConfig(4, 4, 2.0, 1.3, CombiningScheme.TAS_MRC),
+], ids=["mrc-1x4", "stbc-4x1", "stbc_mrc-3x4", "tas-3x2", "tas-4x4"])
+def test_hop_draws_match_a_per_branch_simulation(cfg):
+    """A summed Gamma law per hop has the law of the branches it replaces."""
+    drawn = simulate_hop(cfg, McRun(31, KS_SAMPLES))
+    reference = _per_branch(cfg, np.random.default_rng(97), KS_SAMPLES)
+    assert stats.ks_2samp(drawn, reference).statistic < KS_CRITICAL
 
 
 def test_same_seed_reproduces_and_seeds_differ():
@@ -102,10 +162,10 @@ def test_mc_ser_matches_manual_mean():
 def test_sweep_samples_share_the_random_base():
     grid = np.array([0.0, 5.0, 10.0])
     run = McRun(17, 50_000, 2)
-    pairs = list(sweep_eq_samples(LINK, [BPSK, PSK8], grid, 3.0, run))
-    assert [db for db, _ in pairs] == list(grid)
+    pairs = list(sweep_eq_samples(LINK, [BPSK, PSK8], grid, [3.0], run))
+    assert [(db1, db2) for db1, db2, _ in pairs] == [(3.0, db) for db in grid]
     previous = None
-    for _, estimates in pairs:
+    for _, _, estimates in pairs:
         assert len(estimates) == 2
         # the 8-PSK decision regions are smaller at every sample
         assert estimates[1][0] > estimates[0][0]
@@ -118,7 +178,7 @@ def test_sweep_samples_share_the_random_base():
 def test_sweep_samples_agree_with_independent_simulation():
     grid = np.array([6.0])
     run = McRun(5, 200_000, 2)
-    (_, ((ser_a, hw_a),)), = sweep_eq_samples(LINK, [BPSK], grid, 3.0, run)
+    (_, _, ((ser_a, hw_a),)), = sweep_eq_samples(LINK, [BPSK], grid, [3.0], run)
     direct_link = LinkScenario(
         replace(LINK.hop1, mean_branch_snr=10.0 ** 0.3),
         replace(LINK.hop2, mean_branch_snr=10.0 ** 0.6),
@@ -128,12 +188,23 @@ def test_sweep_samples_agree_with_independent_simulation():
     assert abs(ser_a - ser_b) < 3.0 * math.hypot(hw_a, hw_b)
 
 
+def test_one_pass_over_several_hop1_means_equals_one_pass_each():
+    grid = np.array([1.0, 8.0])
+    run = McRun(13, 150_000, 2)
+    together = list(sweep_eq_samples(LINK, MODS, grid, [0.5, 4.0], run))
+    apart = [item for db1 in (0.5, 4.0)
+             for item in sweep_eq_samples(LINK, MODS, grid, [db1], run)]
+    assert together == apart
+    assert [(db1, db2) for db1, db2, _ in together] == [
+        (0.5, 1.0), (0.5, 8.0), (4.0, 1.0), (4.0, 8.0)]
+
+
 def test_streamed_sweep_is_bitwise_equal_for_any_worker_count():
     # 150k samples span three chunks, so the merge order is exercised
     grid = np.array([0.0, 7.0])
-    reference = list(sweep_eq_samples(LINK, MODS, grid, 2.0, McRun(3, 150_000, 1)))
+    reference = list(sweep_eq_samples(LINK, MODS, grid, [2.0], McRun(3, 150_000, 1)))
     for workers in (2, 5):
-        assert list(sweep_eq_samples(LINK, MODS, grid, 2.0,
+        assert list(sweep_eq_samples(LINK, MODS, grid, [2.0],
                                      McRun(3, 150_000, workers))) == reference
 
 
@@ -151,9 +222,9 @@ def test_streamed_sweep_matches_mc_ser_on_the_same_draws(link):
     run = McRun(11, 200_000, 2)      # four chunks, the last one partial
     g1 = simulate_hop(replace(link.hop1, mean_branch_snr=10.0 ** 0.25), run, stream=1)
     base2 = simulate_hop(replace(link.hop2, mean_branch_snr=1.0), run, stream=2)
-    streamed = list(sweep_eq_samples(link, MODS, grid, 2.5, run))
-    for (db, estimates), expected_db in zip(streamed, grid):
-        assert db == expected_db
+    streamed = list(sweep_eq_samples(link, MODS, grid, [2.5], run))
+    for (db1, db, estimates), expected_db in zip(streamed, grid):
+        assert (db1, db) == (2.5, expected_db)
         eq = equivalent_snr(g1, base2 * 10.0 ** (expected_db / 10.0), link.combiner)
         for mod, (estimate, halfwidth) in zip(MODS, estimates):
             want, want_hw = mc_ser(mod, eq)
@@ -162,14 +233,14 @@ def test_streamed_sweep_matches_mc_ser_on_the_same_draws(link):
 
 
 def test_streamed_sweep_of_one_sample_has_no_halfwidth():
-    (_, ((estimate, halfwidth),)), = sweep_eq_samples(LINK, [BPSK], [3.0], 1.0,
-                                                      McRun(4, 1))
+    (_, _, ((estimate, halfwidth),)), = sweep_eq_samples(LINK, [BPSK], [3.0], [1.0],
+                                                         McRun(4, 1))
     assert 0.0 < estimate < 0.5 and halfwidth == 0.0
 
 
 def test_streamed_sweep_memory_stays_below_one_sample_array():
     n = 1_000_000
-    sweep = sweep_eq_samples(LINK, MODS, np.array([0.0, 10.0, 20.0]), 3.0,
+    sweep = sweep_eq_samples(LINK, MODS, np.array([0.0, 10.0, 20.0]), [3.0],
                              McRun(8, n, 2))
     tracemalloc.start()
     try:
