@@ -6,17 +6,24 @@ SNRs (diversity combining) stay inside the Gamma family — shapes add at
 fixed scale — and transmit antenna selection takes the maximum of several
 i.i.d. Gamma laws.  The two classes below therefore cover every hop
 configuration in this package.  SNRs are linear power ratios, never dB.
+
+Each formula has one implementation, in the internal ``LawTable``: a
+table of hop-law parameters whose ``cdf``/``pdf`` evaluate any mix of laws
+in one vectorized expression and check nothing.  The public ``cdf``/``pdf``
+methods of ``GammaSnr`` and ``MaxGammaSnr`` are the checked boundary: they
+check their argument, then evaluate their one-row table.  Quadrature
+integrands, whose nodes their caller has already checked, read a table
+directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-from .numerics import regularized_lower_gamma
 
 __all__ = ["GammaSnr", "MaxGammaSnr", "HopDistribution", "from_nakagami"]
 
@@ -32,6 +39,96 @@ def _as_array(snr):
 
 def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+def _base_and_count(d: HopDistribution) -> tuple[GammaSnr, int]:
+    """The candidate Gamma law of ``d`` and how many candidates it takes the largest of."""
+    return (d, 1) if isinstance(d, GammaSnr) else (d.base, d.candidates)
+
+
+def _power(base: np.ndarray, n) -> np.ndarray:
+    """``base ** n`` for integer ``n >= 0``, scalar or elementwise.
+
+    A scalar exponent of 2 squares; an array exponent goes through ``pow``,
+    which may round differently.  Squaring wherever n is 2 keeps every
+    element as a scalar-exponent power would give it.
+    """
+    return np.where(n == 2, base * base, base ** n)
+
+
+class LawTable:
+    """Parameters of a sequence of hop laws, one row per law.
+
+    Columns: shape k, rate k/mean, scale mean/k, gammaln(k), k*log(scale)
+    and the selection candidate count (1 for a plain Gamma law).  The
+    constants are computed once, by the same scalar functions as for one
+    law alone, so an element's arithmetic does not depend on the table
+    it sits in.  ``cdf(x, law)`` and ``pdf(x, law)`` evaluate law
+    ``law[j]`` at ``x[j]`` (``law`` may also be one row index for all of
+    ``x``).  They check nothing: ``x`` must be nonnegative for ``cdf`` and
+    positive for ``pdf``, and ``law`` must index rows.  Floating-point
+    warnings are left to the caller's ``np.errstate``.
+    """
+
+    def __init__(self, laws):
+        rows = []
+        for d in laws:
+            base, n = _base_and_count(d)
+            k, theta = base.shape, base.scale
+            rows.append((k, k / base.mean, theta, float(special.gammaln(k)),
+                         k * math.log(theta), n))
+        (self.shape, self.rate, self.scale, self.log_gamma, self.shape_log_scale,
+         self.candidates) = (np.array(column) for column in zip(*rows))
+        # A table without selection laws skips the powers, which are 1.
+        self.selection = bool(np.any(self.candidates > 1))
+
+    def _base_cdf(self, x, law):
+        return special.gammainc(self.shape[law], x * self.rate[law])
+
+    def cdf(self, x, law):
+        """P{SNR <= x}: P(k, x*rate), raised to the candidate count."""
+        out = self._base_cdf(x, law)
+        return _power(out, self.candidates[law]) if self.selection else out
+
+    def pdf(self, x, law):
+        """Density at positive ``x``; under selection n * F**(n-1) * f."""
+        k = self.shape[law]
+        # Log-space evaluation: the plain power*exp product overflows or
+        # underflows long before the density itself leaves float range.
+        out = np.exp((k - 1.0) * np.log(x) - x / self.scale[law]
+                     - self.log_gamma[law] - self.shape_log_scale[law])
+        if self.selection:
+            n = self.candidates[law]
+            out = n * _power(self._base_cdf(x, law), n - 1) * out
+        return out
+
+
+def _checked_cdf(d: HopDistribution, snr):
+    values, scalar = _as_array(snr)
+    return _shaped(LawTable((d,)).cdf(values, 0), scalar)
+
+
+def _checked_pdf(d: HopDistribution, snr):
+    values, scalar = _as_array(snr)
+    out = values.copy()  # a NaN snr keeps its NaN density
+    pos = values > 0
+    out[pos] = LawTable((d,)).pdf(values[pos], 0)
+    origin = values == 0
+    if origin.any():
+        out[origin] = _origin_density(d)
+    return _shaped(out, scalar)
+
+
+def _origin_density(d: HopDistribution) -> float:
+    """Limit of the density at 0+, which depends on candidates * shape relative to 1."""
+    base, n = _base_and_count(d)
+    kn = n * base.shape
+    if kn > 1.0:
+        return 0.0
+    if kn < 1.0:
+        return math.inf
+    return n / (special.gamma(base.shape + 1.0) ** (n - 1)
+                * special.gamma(base.shape) * base.scale)
 
 
 @dataclass(frozen=True)
@@ -53,30 +150,11 @@ class GammaSnr:
 
     def pdf(self, snr):
         """Density at ``snr`` (scalar or ndarray)."""
-        values, scalar = _as_array(snr)
-        k = self.shape
-        theta = self.scale
-        out = np.zeros_like(values)
-        pos = values > 0
-        # Log-space evaluation: the plain power*exp product overflows or
-        # underflows long before the density itself leaves float range.
-        out[pos] = np.exp((k - 1.0) * np.log(values[pos]) - values[pos] / theta
-                          - special.gammaln(k) - k * math.log(theta))
-        if not pos.all():
-            if k < 1.0:
-                origin = np.inf
-            elif k == 1.0:
-                origin = 1.0 / theta
-            else:
-                origin = 0.0
-            out[~pos] = origin
-        return _shaped(out, scalar)
+        return _checked_pdf(self, snr)
 
     def cdf(self, snr):
         """P{SNR <= snr}: regularized lower incomplete gamma P(shape, snr/scale)."""
-        values, scalar = _as_array(snr)
-        out = regularized_lower_gamma(self.shape, values * (self.shape / self.mean))
-        return _shaped(np.atleast_1d(out), scalar)
+        return _checked_cdf(self, snr)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. variates from the supplied generator."""
@@ -102,37 +180,19 @@ class MaxGammaSnr:
                 f"candidates must be a positive integer, got {self.candidates}")
 
     def cdf(self, snr):
-        values, scalar = _as_array(snr)
-        out = np.asarray(self.base.cdf(values)) ** self.candidates
-        return _shaped(out, scalar)
+        """P{SNR <= snr} of the largest candidate."""
+        return _checked_cdf(self, snr)
 
     def pdf(self, snr):
-        values, scalar = _as_array(snr)
-        n = self.candidates
-        big_f = np.asarray(self.base.cdf(values))
-        small_f = np.asarray(self.base.pdf(values))
-        with np.errstate(invalid="ignore"):
-            out = n * big_f ** (n - 1) * small_f
-        # 0 * inf at the origin when the base density diverges there; the
-        # limit depends on candidates * base.shape relative to 1.
-        undefined = ~np.isfinite(out) & (values == 0)
-        if undefined.any():
-            kn = n * self.base.shape
-            if kn > 1.0:
-                limit = 0.0
-            elif kn < 1.0:
-                limit = np.inf
-            else:
-                limit = n / (special.gamma(self.base.shape + 1.0) ** (n - 1)
-                             * special.gamma(self.base.shape) * self.base.scale)
-            out[undefined] = limit
-        return _shaped(out, scalar)
+        """Density at ``snr`` (scalar or ndarray)."""
+        return _checked_pdf(self, snr)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         draws = self.base.sample(rng, int(n) * self.candidates)
-        return draws.reshape(int(n), self.candidates).max(axis=1)
+        # Column by column: max over the short axis costs far more per sample.
+        return functools.reduce(np.maximum, draws.reshape(int(n), self.candidates).T)
 
 
 HopDistribution = GammaSnr | MaxGammaSnr

@@ -132,6 +132,16 @@ def _apply_rule(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return vals, errs
 
 
+def _first_max_per_owner(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Index of the first largest ``key`` among each owner's entries, owner by owner.
+
+    A stable sort by owner, then by descending key, puts that entry first
+    in its owner's run.
+    """
+    order = np.lexsort((-key, owner))
+    return order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+
+
 def integrate_batch(f: Callable, lo, hi, tol: float, *,
                     abs_floor: float = 1e-12,
                     max_intervals: int = 2048) -> BatchQuadrature:
@@ -198,9 +208,11 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
                 break
 
         pick = splittable & (errs > (target / (2.0 * count))[owner])
-        for i in np.flatnonzero(active & (np.bincount(owner[pick], minlength=n) == 0)):
-            mine = np.flatnonzero(owner == i)
-            pick[mine[np.argmax(np.where(splittable[mine], errs[mine], -1.0))]] = True
+        # An integrand with nothing picked splits its worst splittable interval.
+        unpicked = active & (np.bincount(owner[pick], minlength=n) == 0)
+        if unpicked.any():
+            worst = _first_max_per_owner(owner, np.where(splittable, errs, -1.0))
+            pick[worst[unpicked[owner[worst]]]] = True
         budget = max_intervals - count
         for i in np.flatnonzero(np.bincount(owner[pick], minlength=n) > budget):
             chosen = np.flatnonzero(pick & (owner == i))

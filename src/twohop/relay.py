@@ -17,7 +17,13 @@ For the CDF at gamma, condition on the hop-2 SNR y:
 Hence F_eq(gamma) = F2(gamma) + integral over (gamma, inf) of
 F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
 batch of adaptive quadratures after mapping the semi-infinite range onto
-[0, 1).  A gamma whose quadrature does not converge comes back as NaN;
+[0, 1).  ``end_to_end_cdf`` checks its arguments once.  The F2(gamma)
+term, at the caller's own points, goes through each hop-2 law's public,
+checked ``cdf``: one call per law per batch.  The integrand, at the
+quadrature's nodes, reads the hop laws' internal ``LawTable``s, which
+evaluate every hop-2 law of the batch in one expression and check
+nothing, so no round makes a public call.  A gamma whose quadrature does
+not converge comes back as NaN;
 only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
 ``ConvergenceError`` for it.
 """
@@ -31,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .diversity import HopConfig
-from .fading import GammaSnr, HopDistribution
+from .fading import GammaSnr, HopDistribution, LawTable
 from .numerics import DEFAULT_CDF_TOL, integrate_semi_infinite_batch
 
 __all__ = [
@@ -132,14 +138,12 @@ def end_to_end_cdf(d1: HopDistribution, d2, snr,
     return out.reshape(gamma.shape)
 
 
-def _by_law(laws: tuple, law: np.ndarray, method: str, x: np.ndarray) -> np.ndarray:
-    """``laws[law[j]].<method>(x[j])`` for every j, one call per law present."""
-    if len(laws) == 1:
-        return np.asarray(getattr(laws[0], method)(x))
-    out = np.empty(x.shape)
-    for k in np.flatnonzero(np.bincount(law, minlength=len(laws))):
+def _hop2_cdf(laws: tuple, law: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """F2 of law ``laws[law[j]]`` at ``gamma[j]``: one public cdf call per law present."""
+    out = np.empty(gamma.shape)
+    for k in np.unique(law):
         mine = law == k
-        out[mine] = getattr(laws[k], method)(x[mine])
+        out[mine] = laws[k].cdf(gamma[mine])
     return out
 
 
@@ -147,24 +151,28 @@ def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.n
                   combiner: Combiner, tol: float) -> np.ndarray:
     """F_eq at positive ``gamma`` (hop-2 law ``laws[law[i]]``), NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
+    # end_to_end_cdf has checked every input, so the integrand evaluates
+    # F1(threshold) * f2(y) straight from the parameter tables: one
+    # expression for all hop-2 laws, with no per-call checks.
+    hop1, hop2 = LawTable((d1,)), LawTable(laws)
 
     def integrand(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
         g = gamma[owner]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            threshold = g * (y + shift) / (y - g)
+        threshold = g * (y + shift) / (y - g)
         # Nodes are interior so y > gamma analytically, but the subtraction
         # can round to zero; the threshold limit there is +inf (F1 -> 1).
         threshold = np.where(y > g, threshold, np.inf)
-        return np.asarray(d1.cdf(threshold)) * _by_law(laws, law[owner], "pdf", y)
+        return hop1.cdf(threshold, 0) * hop2.pdf(y, law[owner])
 
     # The integrand's mass sits either just above gamma or around the hop-2
     # mean, whichever is larger; matching the substitution scale to that
     # keeps the mass visible to the initial quadrature nodes even when the
     # hop-2 mean is orders of magnitude away from gamma.
     scale = np.array([_mean_scale(d) for d in laws])[law]
-    result = integrate_semi_infinite_batch(integrand, gamma, tol,
-                                           scale=np.maximum(scale, gamma))
-    raw = _by_law(laws, law, "cdf", gamma) + result.value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        result = integrate_semi_infinite_batch(integrand, gamma, tol,
+                                               scale=np.maximum(scale, gamma))
+    raw = _hop2_cdf(laws, law, gamma) + result.value
     value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
     # NaN compares False, so only a converged value can report a clamp.
     for i in np.flatnonzero(np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6)):

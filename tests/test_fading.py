@@ -148,6 +148,26 @@ def test_max_mean_and_samples():
     assert np.array_equal(draws, manual)
 
 
+@pytest.mark.parametrize("candidates", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [0.5, 1.0, 7.5, 32.0])
+def test_max_law_is_its_base_law_raised_bit_for_bit(shape, candidates):
+    base = GammaSnr(shape, 3.0)
+    best = MaxGammaSnr(base, candidates)
+    g = np.geomspace(1e-6, 1e3, 60)
+    big_f, small_f = base.cdf(g), base.pdf(g)
+    assert best.cdf(g).tolist() == (big_f ** candidates).tolist()
+    assert best.pdf(g).tolist() == (candidates * big_f ** (candidates - 1)
+                                    * small_f).tolist()
+
+
+def test_nan_snr_has_nan_density_and_cdf():
+    for law in (GammaSnr(0.3, 1.0), GammaSnr(1.0, 1.0), GammaSnr(2.0, 1.0),
+                MaxGammaSnr(GammaSnr(0.3, 1.0), 2), MaxGammaSnr(GammaSnr(2.0, 1.0), 3)):
+        assert math.isnan(law.pdf(math.nan)) and math.isnan(law.cdf(math.nan))
+        density = law.pdf(np.array([0.0, math.nan, 1.0]))
+        assert np.isnan(density[1]) and not np.isnan(density[[0, 2]]).any()
+
+
 def test_max_of_one_is_base_law():
     base = GammaSnr(1.0, 3.0)
     trivial = MaxGammaSnr(base, 1)

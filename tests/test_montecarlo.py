@@ -103,6 +103,15 @@ def test_hop_draws_match_a_per_branch_simulation(cfg):
     assert stats.ks_2samp(drawn, reference).statistic < KS_CRITICAL
 
 
+@pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+def test_tas_draws_are_row_maxima_of_the_same_generator_output(n_tx):
+    cfg = HopConfig(n_tx, 2, 0.5, 3.0, CombiningScheme.TAS_MRC)
+    drawn = montecarlo._hop_chunk(cfg, np.random.default_rng(5), 10_000)
+    rows = np.random.default_rng(5).gamma(cfg.m * cfg.n_rx, cfg.mean_branch_snr / cfg.m,
+                                          (10_000, n_tx))
+    assert np.array_equal(drawn, rows.max(axis=1))
+
+
 def test_same_seed_reproduces_and_seeds_differ():
     a = simulate_hop(HOP, McRun(42, 30_000))
     b = simulate_hop(HOP, McRun(42, 30_000))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twohop.numerics import (
     QuadratureResult,
+    _first_max_per_owner,
     gaussian_q,
     integrate_batch,
     integrate_finite,
@@ -173,6 +174,44 @@ def test_stuck_integrand_retires_alone():
         assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i],
                 batch.converged[i]) == (alone.value, alone.error_estimate,
                                         alone.evaluations, alone.converged)
+
+
+def test_first_max_per_owner_matches_an_owner_loop():
+    rng = np.random.default_rng(4)
+    owner = rng.integers(0, 9, 400)
+    key = rng.integers(0, 4, 400).astype(float)  # many ties
+    key[::7] = -1.0
+    key[::11] = math.inf
+    want = [np.flatnonzero(owner == i)[np.argmax(key[owner == i])]
+            for i in np.unique(owner)]
+    assert _first_max_per_owner(owner, key).tolist() == want
+
+
+def test_fallback_picks_in_one_round_match_one_integrand_calls():
+    # 1/sqrt|x - c|: once nodes land on c (a bisection point, or 0.3 once
+    # intervals shrink to rounding width), the interval there has an
+    # infinite error and no splittable width, and every other interval is
+    # below its share of the budget.  From then on such an integrand
+    # refines only through the fallback pick, its worst splittable
+    # interval; the first four poles do so in the same rounds, while the
+    # last one converges.
+    poles = np.array([0.5, 0.25, 0.75, 0.3, 0.375])
+
+    def f(x, owner):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(np.abs(x - poles[owner]))
+
+    with np.errstate(invalid="ignore"):  # inf - inf in a stuck interval's error
+        batch = integrate_batch(f, np.zeros(poles.size), np.ones(poles.size), 1e-9,
+                                max_intervals=200)
+    assert batch.converged.tolist() == [False, False, False, False, True]
+    for i in range(poles.size):
+        with np.errstate(invalid="ignore"):
+            alone = integrate_batch(lambda x, _: f(x, np.full(x.size, i)), 0.0, 1.0, 1e-9,
+                                    max_intervals=200)
+        assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i],
+                batch.converged[i]) == (alone.value[0], alone.error_estimate[0],
+                                        alone.evaluations[0], alone.converged[0])
 
 
 @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0),

@@ -169,6 +169,95 @@ def test_several_hop2_laws_match_one_law_calls_bit_for_bit(combiner):
             end_to_end_cdf(d1, laws, BATCH_POINTS, combiner, 1e-9, law=bad)
 
 
+# Shapes 0.5 to 32, plain and selection laws (2 to 4 candidates) mixed in
+# one hop-2 table, and each of them also as hop 1.
+TABLE_LAWS = [
+    GammaSnr(0.5, 2.0),
+    MaxGammaSnr(GammaSnr(0.5, 3.0), 3),
+    GammaSnr(1.0, 10.0),
+    MaxGammaSnr(GammaSnr(7.5, 0.8), 2),
+    GammaSnr(32.0, 40.0),
+    MaxGammaSnr(GammaSnr(32.0, 5.0), 4),
+]
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1", TABLE_LAWS)
+def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch, d1,
+                                                                     combiner):
+    import twohop.relay as relay_module
+
+    integrands = []
+    real_batch = relay_module.integrate_semi_infinite_batch
+
+    def capturing_batch(f, *args, **kwargs):
+        integrands.append(f)
+        return real_batch(f, *args, **kwargs)
+
+    monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", capturing_batch)
+    gamma = np.array([1e-6, 0.05, 0.4, 2.0, 7.0, 30.0])
+    law = np.arange(len(TABLE_LAWS))
+    end_to_end_cdf(d1, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
+    integrand, = integrands
+    # y from just above gamma to far into every law's tail
+    owner = np.repeat(law, 40)
+    g = gamma[owner]
+    y = g + np.tile(np.geomspace(1e-9, 1e4, 40), law.size) * np.maximum(g, 1.0)
+    got = integrand(y, owner)
+    shift = 1.0 if combiner is Combiner.EXACT else 0.0
+    want = np.empty_like(y)
+    for k, d2 in enumerate(TABLE_LAWS):
+        mine = owner == k
+        want[mine] = (d1.cdf(g[mine] * (y[mine] + shift) / (y[mine] - g[mine]))
+                      * d2.pdf(y[mine]))
+    assert np.all(np.isfinite(got)) and np.any(got > 0)
+    assert got.tolist() == want.tolist()
+
+
+def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
+    """No quadrature round makes a public law call; the batch makes one cdf per hop-2 law."""
+    import twohop.numerics as numerics_module
+    import twohop.relay as relay_module
+
+    calls = []
+    rounds = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (GammaSnr, MaxGammaSnr):
+        for method in ("cdf", "pdf"):
+            monkeypatch.setattr(cls, method,
+                                counting(f"{cls.__name__}.{method}", getattr(cls, method)))
+    monkeypatch.setattr(numerics_module, "regularized_lower_gamma",
+                        counting("gammainc", numerics_module.regularized_lower_gamma))
+    real_batch = relay_module.integrate_semi_infinite_batch
+
+    def counting_batch(f, *args, **kwargs):
+        def integrand(y, owner):
+            before = len(calls)
+            out = f(y, owner)
+            rounds.append(len(calls) - before)
+            return out
+        return real_batch(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", counting_batch)
+    d1 = MaxGammaSnr(GammaSnr(1.5, 4.0), 2)
+    counted = []
+    for laws, tol in ((TABLE_LAWS[:1], 1e-4), (TABLE_LAWS, 1e-4), (TABLE_LAWS, 1e-10)):
+        gamma = np.geomspace(0.01, 20.0, 3 * len(laws))
+        calls.clear()
+        rounds.clear()
+        end_to_end_cdf(d1, laws, gamma, tol=tol, law=np.arange(gamma.size) % len(laws))
+        assert not any(rounds)
+        assert sorted(calls) == sorted(f"{type(d).__name__}.cdf" for d in laws)
+        counted.append(len(rounds))
+    assert counted[2] > counted[1]
+
+
 def test_array_call_shapes_and_zero():
     value = end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 1.0)
     assert type(value) is float
