@@ -399,6 +399,22 @@ def _case_links(n: int, m: float, combiner: Combiner) -> list[tuple[str, LinkSce
             for case, c in counts.items()]
 
 
+def _ordering(values: list[float], labels: list[str], tol: float) -> str:
+    """``labels`` ascending by value, as ``A < B = C``.
+
+    Neighbours within ``2*tol`` relative of each other are tied, since
+    each value is only good to ``tol``; tied labels keep their given order.
+    """
+    groups: list[list[int]] = []
+    for value, k in sorted(zip(values, range(len(labels)))):
+        if groups and abs(value - prev) <= 2.0 * tol * max(abs(value), abs(prev), 1e-300):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+        prev = value
+    return " < ".join(" = ".join(labels[k] for k in sorted(g)) for g in groups)
+
+
 def cmd_compare_cases(args) -> int:
     if args.n < 1:
         raise ScenarioError(f"--n must be >= 1, got {args.n}", field="n")
@@ -435,13 +451,8 @@ def cmd_compare_cases(args) -> int:
             if any(math.isnan(v) for v in values):
                 orderings.append(f"# ordering {mod.label} @ {db:g} dB: not converged")
                 continue
-            order = sorted(zip(values, cases))
-            parts = [order[0][1]]
-            for (prev, _), (value, label) in zip(order, order[1:]):
-                close = abs(value - prev) <= 1e-12 * max(abs(value), abs(prev), 1e-300)
-                parts.append(("= " if close else "< ") + label)
             orderings.append(f"# ordering {mod.label} @ {db:g} dB: "
-                             + " ".join(parts))
+                             + _ordering(values, cases, tol))
     lines.extend(orderings)
 
     _write(lines, args.out)

@@ -323,6 +323,24 @@ def test_compare_cases_reports_mimo_lowest(tmp_path):
     assert all(": MIMO_MIMO <" in c for c in orderings)
 
 
+@pytest.mark.parametrize("gap,sign", [(1e-9, "="), (1e-6, "<")])
+def test_compare_cases_ties_follow_the_tolerance(tmp_path, monkeypatch, gap, sign):
+    # Each SER is only good to --tol (1e-7 by default), so values closer
+    # than 2*tol relative are tied and listed in column order.
+    # one ser_sweep call per placement, in column order
+    values = iter([0.01, 0.1 * (1.0 + gap), 0.1])
+    monkeypatch.setattr(cli, "ser_sweep",
+                        lambda link, mods, grid, *_: np.full((len(mods), grid.size),
+                                                             next(values)))
+    out = tmp_path / "cmp.csv"
+    code, _ = run_main(["compare-cases", "--n", "2", "--sweep", "0:0:1", "--out", str(out)])
+    assert code == 0
+    comments, _, _ = read_rows(out)
+    want = ("MIMO_MIMO < MISO_SIMO = SIMO_MISO" if sign == "="
+            else "MIMO_MIMO < SIMO_MISO < MISO_SIMO")
+    assert comments[-1] == f"# ordering BPSK @ 0 dB: {want}"
+
+
 @pytest.mark.parametrize("argv, field", [
     (["compare-cases", "--n", "0"], "n"),
     (["compare-cases", "--n", "2", "--m", "0.3"], "m"),
