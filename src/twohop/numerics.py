@@ -7,6 +7,14 @@ so integrands may be singular (or merely undefined) at interval endpoints
 as long as the integral itself is finite.  Integrands must accept a 1-D
 ndarray of abscissae and return a same-shaped ndarray.
 
+Every integrand starts from the same fixed partition of its interval,
+``START_PARTITION``: the pieces ``[0, 1/2], [1/2, 3/4], [3/4, 7/8],
+[7/8, 1]`` of ``[lo, hi]``, which bisection would reach after three rounds
+on the upper side.  Under the ``[0, 1)`` map of the semi-infinite
+integrators, ``x = lo + s*t/(1-t)``, they are ``x - lo`` in ``[0, s],
+[s, 3s], [3s, 7s], [7s, inf)``, a geometric start.  Reported evaluation
+counts include the start pieces.
+
 Each integrand ends either converged or not: one that runs out of room
 retires with its best estimate and ``converged=False`` while the rest of
 the batch goes on.  Callers turn that flag into NaN; nothing here raises
@@ -34,6 +42,7 @@ __all__ = [
     "DEFAULT_CDF_TOL",
     "DEFAULT_SER_TOL",
     "NESTED_TIGHTENING",
+    "START_PARTITION",
 ]
 
 #: Default relative tolerance for inner (CDF) quadratures.
@@ -43,6 +52,9 @@ DEFAULT_SER_TOL = 1e-7
 #: Factor by which an inner tolerance is tightened when nested inside another
 #: quadrature, keeping the outer error estimate honest.
 NESTED_TIGHTENING = 100.0
+#: Breakpoints, as fractions of ``[lo, hi]``, of the pieces every integrand
+#: starts from: bisection's first three rounds on the upper side.
+START_PARTITION = (0.0, 0.5, 0.75, 0.875, 1.0)
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 # Nodes ascending; the Gauss subset sits at the odd indices.
@@ -149,16 +161,19 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
 
     ``f(x, owner)`` returns the integrands at the abscissae ``x``, where
     ``owner[j]`` is the batch index of the integrand that ``x[j]`` belongs
-    to.  Each integrand keeps its own interval set, starting as
-    ``[lo[i], hi[i]]``, and every refinement round bisects all of its
-    intervals whose local error exceeds an equal share of half the
-    remaining budget (at least the worst one), so flat regions are left
-    alone while problem spots are chased.  An integrand retires converged
-    once its summed local errors drop below ``tol * max(|value|, abs_floor)``,
-    and unconverged, with its best estimate, once it reaches
-    ``max_intervals`` or has no interval left wider than rounding.  Every
+    to.  Each integrand keeps its own interval set, starting as the
+    ``START_PARTITION`` pieces of ``[lo[i], hi[i]]``, and every refinement
+    round bisects all of its intervals whose local error exceeds an equal
+    share of half the remaining budget (at least the worst one), so flat
+    regions are left alone while problem spots are chased.  An integrand
+    retires converged once its summed local errors drop below
+    ``tol * max(|value|, abs_floor)``, and unconverged, with its best
+    estimate, once it reaches ``max_intervals`` or has no interval left
+    wider than rounding.  Every
     decision and sum is per integrand, so an integrand's result does not
-    depend on the rest of the batch.
+    depend on the rest of the batch.  ``evaluations`` counts every node
+    evaluated, the start pieces' included; a ``max_intervals`` below the
+    number of start pieces raises ``ValueError``.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -170,20 +185,25 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         raise ValueError(f"invalid integration interval [{lo[bad]}, {hi[bad]}]")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    pieces = len(START_PARTITION) - 1
+    if max_intervals < pieces:
+        raise ValueError(f"max_intervals must be at least {pieces}, got {max_intervals}")
 
     n = lo.size
     value = np.zeros(n)
     error = np.zeros(n)
     converged = np.zeros(n, dtype=bool)
-    count = np.ones(n, dtype=np.int64)          # live intervals per integrand
-    evaluated = np.ones(n, dtype=np.int64)      # intervals evaluated so far
+    count = np.full(n, pieces, dtype=np.int64)      # live intervals per integrand
+    evaluated = np.full(n, pieces, dtype=np.int64)  # intervals evaluated so far
     width_floor = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0) * 1e-15
 
     # owner[j] is the integrand of live interval j.  Each integrand's
     # intervals keep the relative order a one-integrand run gives them, and
     # bincount adds them in that order, so its sums do not see the batch.
-    owner = np.arange(n)
-    a, b = lo.copy(), hi.copy()
+    edges = lo[:, None] + (hi - lo)[:, None] * np.array(START_PARTITION)
+    edges[:, -1] = hi
+    owner = np.repeat(np.arange(n), pieces)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     vals, errs = _apply_rule(f, a, b, owner)
 
     while owner.size:
@@ -281,11 +301,11 @@ def integrate_semi_infinite(f: Callable, lo: float, tol: float, *,
                             max_intervals: int = 2048) -> QuadratureResult:
     """Integrate ``f`` over ``[lo, inf)`` via ``x = lo + scale*t/(1-t)`` on [0, 1).
 
-    ``scale`` sets the substitution's characteristic length (the t = 1/2
-    node lands at lo + scale).  Pass the location of the integrand's mass
-    when it sits far from lo + O(1); otherwise the mass is compressed
-    against t = 1 where the initial nodes may see only zeros and adaptive
-    refinement never finds it.
+    ``scale`` sets the substitution's characteristic length (the start
+    pieces meet at lo + scale, lo + 3*scale and lo + 7*scale).  Pass the
+    location of the integrand's mass when it sits far from lo + O(1);
+    otherwise the mass is compressed against t = 1 where the initial nodes
+    may see only zeros and adaptive refinement never finds it.
     """
     # Through integrate_finite, which bench/tracing.py counts by name.
     mapped = _unit_interval(lambda x, _: f(x), lo, scale)

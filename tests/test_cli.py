@@ -245,9 +245,10 @@ def test_ser_sweep_nonconvergence_writes_nan_rows(tmp_path):
     assert rows[0].split(",")[8] == "nan"
 
 
-# The seed-410 op of bench/BASELINE.md: BPSK and PSK8 lose the 19 dB point
-# to a CDF element that cannot converge.  Bytes recorded before the SER
-# sweep ran as one batch.
+# The seed-410 op of bench/BASELINE.md: BPSK loses the 19 dB point to a
+# CDF element that cannot converge, and only that cell is NaN: PSK8 at
+# 19 dB never asks for that element (tests/test_ser.py checks its value
+# against Monte-Carlo).
 TAS_HARMONIC_SCENARIO = """\
 name = paper07
 case = CUSTOM
@@ -270,13 +271,12 @@ TAS_HARMONIC_STDOUT = """\
 case,modulation,n_s,n_r,n_d,m,hop1_snr_db,hop2_snr_db,ser_analytical
 CUSTOM,BPSK,2,2,1,0.5,4,15,0.017179334997043837
 CUSTOM,BPSK,2,2,1,0.5,4,19,nan
-CUSTOM,PSK8,2,2,1,0.5,4,15,0.28427947894325845
-CUSTOM,PSK8,2,2,1,0.5,4,19,nan
-CUSTOM,PSK16,2,2,1,0.5,4,15,0.5622580899397747
-CUSTOM,PSK16,2,2,1,0.5,4,19,0.5315316844508701
+CUSTOM,PSK8,2,2,1,0.5,4,15,0.2842794789432586
+CUSTOM,PSK8,2,2,1,0.5,4,19,0.2512937201945847
+CUSTOM,PSK16,2,2,1,0.5,4,15,0.5622580899397754
+CUSTOM,PSK16,2,2,1,0.5,4,19,0.5315316844508694
 """
-TAS_HARMONIC_STDERR = ("twohop: quadrature did not converge at: BPSK hop1=4 dB hop2=19 dB; "
-                       "PSK8 hop1=4 dB hop2=19 dB\n")
+TAS_HARMONIC_STDERR = "twohop: quadrature did not converge at: BPSK hop1=4 dB hop2=19 dB\n"
 
 
 def test_ser_sweep_inner_nonconvergence_bytes(tmp_path):
@@ -326,8 +326,8 @@ def test_compare_cases_reports_mimo_lowest(tmp_path):
 @pytest.mark.parametrize("gap,sign", [(1e-9, "="), (1e-6, "<")])
 def test_compare_cases_ties_follow_the_tolerance(tmp_path, monkeypatch, gap, sign):
     # Each SER is only good to --tol (1e-7 by default), so values closer
-    # than 2*tol relative are tied and listed in column order.
-    # one ser_sweep call per placement, in column order
+    # than 2*tol relative are tied and listed in column order.  ser_sweep
+    # runs once per placement, in column order.
     values = iter([0.01, 0.1 * (1.0 + gap), 0.1])
     monkeypatch.setattr(cli, "ser_sweep",
                         lambda link, mods, grid, *_: np.full((len(mods), grid.size),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twohop.numerics import (
+    START_PARTITION,
     QuadratureResult,
     _first_max_per_owner,
     gaussian_q,
@@ -107,24 +108,45 @@ def test_budget_exhaustion_reports_instead_of_raising():
     assert math.isfinite(result.value)
 
 
+def _bump(mu: float, k: float = 9.0):
+    """Gamma(k, mu/k) density: a steep polynomial rise, all mass near mu."""
+    coeff = (k / mu) ** k / math.gamma(k)
+    return lambda x: coeff * x ** (k - 1.0) * np.exp(-k * x / mu)
+
+
 def test_distant_mass_needs_matching_scale():
-    # Density-like integrand (steep polynomial rise, all mass near 1e6):
-    # with the substitution scale matched to the bump location the initial
+    # With the substitution scale matched to the bump location the start
     # nodes straddle it and the unit integral comes out; with the default
     # scale every node lands far left of the rise, so the result is either
     # flagged as non-converged or silently near zero.
-    mu, k = 1e6, 9.0
-    coeff = (k / mu) ** k / math.gamma(k)
-
-    def bump(x):
-        return coeff * x ** (k - 1.0) * np.exp(-k * x / mu)
-
-    matched = integrate_semi_infinite(bump, 0.0, 1e-9, scale=mu)
+    matched = integrate_semi_infinite(_bump(1e9), 0.0, 1e-9, scale=1e9)
     assert matched.converged
     assert abs(matched.value - 1.0) < 1e-8
 
-    blind = integrate_semi_infinite(bump, 0.0, 1e-9)
+    blind = integrate_semi_infinite(_bump(1e9), 0.0, 1e-9)
     assert (not blind.converged) or abs(blind.value - 1.0) > 0.5
+
+
+def test_start_partition_finds_mass_a_million_scales_out():
+    # The start piece [7s, inf) puts nodes far enough out that refinement
+    # finds a bump at 1e6 with the default scale.
+    found = integrate_semi_infinite(_bump(1e6), 0.0, 1e-9)
+    assert found.converged
+    assert abs(found.value - 1.0) < 1e-11
+
+
+def test_evaluations_count_the_start_pieces():
+    # x^2 is exact on every start piece, so nothing is refined
+    result = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-9)
+    assert result.converged
+    assert result.evaluations == (len(START_PARTITION) - 1) * 15 == 60
+
+
+def test_rejects_fewer_intervals_than_start_pieces():
+    pieces = len(START_PARTITION) - 1
+    with pytest.raises(ValueError, match="max_intervals"):
+        integrate_batch(lambda x, _: x, [0.0], [1.0], 1e-8, max_intervals=pieces - 1)
+    assert integrate_finite(lambda x: x, 0.0, 1.0, 1e-8, max_intervals=pieces).converged
 
 
 BATCH_INTEGRANDS = [
