@@ -201,7 +201,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
     # intervals keep the relative order a one-integrand run gives them, and
     # bincount adds them in that order, so its sums do not see the batch.
     edges = lo[:, None] + (hi - lo)[:, None] * np.array(START_PARTITION)
-    edges[:, -1] = hi
+    edges[:, -1] = hi  # lo + (hi - lo) need not round to hi
     owner = np.repeat(np.arange(n), pieces)
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     vals, errs = _apply_rule(f, a, b, owner)
