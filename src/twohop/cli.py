@@ -26,8 +26,8 @@ from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
 from .scenario import (MAX_SWEEP_POINTS, Scenario, ScenarioError, check_db,
-                       check_fading_figure, load_scenario, parse_modulations,
-                       parse_sweep, placement_hops)
+                       check_fading_figure, db_to_linear, load_scenario,
+                       parse_modulations, parse_sweep, placement_hops)
 from .ser import ser_sweep
 
 DEFAULT_SEED = 1729
@@ -198,15 +198,17 @@ def cmd_ser_sweep(args) -> int:
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_SWEEP_MC_SAMPLES)
     grid = scenario.sweep.values()
-    link = scenario.link()
     mods = scenario.modulations
 
-    # mc[k * grid.size + j][i]: (estimate, halfwidth) at hop1_snr_db[k], grid[j], mods[i]
+    # Link k * grid.size + j is at hop1_snr_db[k], grid[j]; on it, mods[i] has
+    # the (estimate, halfwidth) mc[link][i] and the SER ser[i, link].
     mc = []
     if use_mc:
         run = McRun(seed, samples, args.threads)
         mc = [est for _, _, est in
-              sweep_eq_samples(link, mods, grid, scenario.hop1_snr_db, run)]
+              sweep_eq_samples(scenario.link(), mods, grid, scenario.hop1_snr_db, run)]
+    ser = ser_sweep([scenario.link_at(hop1_db, db) for hop1_db in scenario.hop1_snr_db
+                     for db in grid.tolist()], mods, tol)
 
     lines = _meta("ser-sweep", scenario, tol,
                   seed if use_mc else None, samples if use_mc else None)
@@ -215,12 +217,11 @@ def cmd_ser_sweep(args) -> int:
         header += ",ser_mc,mc_halfwidth"
     lines.append(header)
 
-    ser = [ser_sweep(link, mods, grid, hop1_db, tol) for hop1_db in scenario.hop1_snr_db]
     failed = []
     for i, mod in enumerate(mods):
         for k, hop1_db in enumerate(scenario.hop1_snr_db):
             for j, db in enumerate(grid.tolist()):
-                value = float(ser[k][i, j])
+                value = float(ser[i, k * grid.size + j])
                 row = [scenario.case, mod.label, str(scenario.n_s),
                        str(scenario.n_r), str(scenario.n_d), _fmt_m(scenario),
                        _fmt_num(hop1_db), _fmt_num(db),
@@ -359,7 +360,7 @@ def cmd_validate(args) -> int:
                  f"{deviation:.6f}", f"{limit:.6f}", deviation <= limit))
 
     ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
-    ser = ser_sweep(scenario.link(), scenario.modulations, [hop2_db], hop1_db, ser_tol)
+    ser = ser_sweep([link], scenario.modulations, ser_tol)
     for mod, analytical_ser in zip(scenario.modulations, ser[:, 0].tolist()):
         if math.isnan(analytical_ser):
             raise ConvergenceError(
@@ -425,11 +426,14 @@ def cmd_compare_cases(args) -> int:
     grid = parse_sweep(args.sweep, "sweep").values()
     mods = parse_modulations(args.modulations, "modulations")
 
-    links = _case_links(args.n, args.m, combiner)
-    cases = [label for label, _ in links]
-    # ser[c, i, j]: case c, modulation i, sweep point j
-    ser = np.stack([ser_sweep(link, mods, grid, args.hop1_snr_db, tol)
-                    for _, link in links])
+    placements = _case_links(args.n, args.m, combiner)
+    cases = [label for label, _ in placements]
+    hop1_mean = db_to_linear(args.hop1_snr_db)
+    links = [replace(link, hop1=replace(link.hop1, mean_branch_snr=hop1_mean),
+                     hop2=replace(link.hop2, mean_branch_snr=db_to_linear(db)))
+             for _, link in placements for db in grid.tolist()]
+    # ser[i, c, j]: modulation i, case c, sweep point j
+    ser = ser_sweep(links, mods, tol).reshape(len(mods), len(cases), grid.size)
 
     lines = [f"# twohop {__version__} compare-cases",
              f"# n: {args.n}  m: {args.m:g}  hop1_snr_db: {args.hop1_snr_db:g}  "
@@ -442,7 +446,7 @@ def cmd_compare_cases(args) -> int:
     orderings = []
     for i, mod in enumerate(mods):
         for j, db in enumerate(grid.tolist()):
-            values = ser[:, i, j].tolist()
+            values = ser[i, :, j].tolist()
             lines.append(",".join(
                 [mod.label, _fmt_num(args.hop1_snr_db), _fmt_num(db)]
                 + [_fmt_prob(v, args.full_precision) for v in values]))

@@ -21,7 +21,7 @@ batch of adaptive quadratures after mapping the semi-infinite range onto
 term, at the caller's own points, goes through each hop-2 law's public,
 checked ``cdf``: one call per law per batch.  The integrand, at the
 quadrature's nodes, reads the hop laws' internal ``LawTable``s, which
-evaluate every hop-2 law of the batch in one expression and check
+evaluate every link of the batch in one expression and check
 nothing, so no round makes a public call.  A gamma whose quadrature does
 not converge comes back as NaN;
 only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
@@ -102,18 +102,18 @@ def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
     return out
 
 
-def end_to_end_cdf(d1: HopDistribution, d2, snr,
-                   combiner: Combiner = Combiner.EXACT,
+def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
                    tol: float = DEFAULT_CDF_TOL, *, law=None):
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
-    has its shape).  ``d2`` is the hop-2 law, or a sequence of hop-2 laws
-    when ``law`` is given: an integer array of ``snr``'s shape whose
-    entries index ``d2``, one per element.  All elements run as one batch
-    of inner quadratures, and each value is bit-identical to a call with
-    that element (and its law) alone.  An element whose quadrature does
-    not converge is NaN; the others are unaffected.
+    has its shape).  ``d1`` and ``d2`` are the hop laws, or, when ``law``
+    is given, two sequences of hop laws of one length, and ``law`` an
+    integer array of ``snr``'s shape: element j lies on the link
+    ``(d1[law[j]], d2[law[j]])``.  All elements run as one batch of inner
+    quadratures, and each value is bit-identical to a call with that
+    element (and its link) alone.  An element whose quadrature does not
+    converge is NaN; the others are unaffected.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -121,18 +121,20 @@ def end_to_end_cdf(d1: HopDistribution, d2, snr,
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
     if law is None:
-        laws, which = (d2,), np.zeros(gamma.size, dtype=np.intp)
+        d1s, d2s, which = (d1,), (d2,), np.zeros(gamma.size, dtype=np.intp)
     else:
-        laws, which = tuple(d2), np.asarray(law)
+        d1s, d2s, which = tuple(d1), tuple(d2), np.asarray(law)
+        if len(d1s) != len(d2s):
+            raise ValueError(f"d1 and d2 must have one length, got {len(d1s)} and {len(d2s)}")
         if (which.shape != gamma.shape or not np.issubdtype(which.dtype, np.integer)
-                or not np.all((0 <= which) & (which < len(laws)))):
-            raise ValueError("law must be integers indexing d2, one per snr element")
+                or not np.all((0 <= which) & (which < len(d2s)))):
+            raise ValueError("law must be integers indexing d1 and d2, one per snr element")
         which = which.reshape(-1).astype(np.intp)
     flat = gamma.reshape(-1)
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat > 0.0)
     if pos.size:
-        out[pos] = _positive_cdf(d1, laws, which[pos], flat[pos], combiner, tol)
+        out[pos] = _positive_cdf(d1s, d2s, which[pos], flat[pos], combiner, tol)
     if gamma.ndim == 0:
         return float(out[0])
     return out.reshape(gamma.shape)
@@ -147,14 +149,14 @@ def _hop2_cdf(laws: tuple, law: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.ndarray,
+def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
                   combiner: Combiner, tol: float) -> np.ndarray:
-    """F_eq at positive ``gamma`` (hop-2 law ``laws[law[i]]``), NaN where it did not converge."""
+    """F_eq at positive ``gamma[i]`` on link ``law[i]``, NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
     # end_to_end_cdf has checked every input, so the integrand evaluates
     # F1(threshold) * f2(y) straight from the parameter tables: one
-    # expression for all hop-2 laws, with no per-call checks.
-    hop1, hop2 = LawTable((d1,)), LawTable(laws)
+    # expression for all links, with no per-call checks.
+    hop1, hop2 = LawTable(d1s), LawTable(d2s)
 
     def integrand(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
         g = gamma[owner]
@@ -162,17 +164,18 @@ def _positive_cdf(d1: HopDistribution, laws: tuple, law: np.ndarray, gamma: np.n
         # Nodes are interior so y > gamma analytically, but the subtraction
         # can round to zero; the threshold limit there is +inf (F1 -> 1).
         threshold = np.where(y > g, threshold, np.inf)
-        return hop1.cdf(threshold, 0) * hop2.pdf(y, law[owner])
+        link = law[owner]
+        return hop1.cdf(threshold, link) * hop2.pdf(y, link)
 
     # The integrand's mass sits either just above gamma or around the hop-2
     # mean, whichever is larger; matching the substitution scale to that
     # keeps the mass visible to the initial quadrature nodes even when the
     # hop-2 mean is orders of magnitude away from gamma.
-    scale = np.array([_mean_scale(d) for d in laws])[law]
+    scale = np.array([_mean_scale(d) for d in d2s])[law]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = integrate_semi_infinite_batch(integrand, gamma, tol,
                                                scale=np.maximum(scale, gamma))
-    raw = _hop2_cdf(laws, law, gamma) + result.value
+    raw = _hop2_cdf(d2s, law, gamma) + result.value
     value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
     # NaN compares False, so only a converged value can report a clamp.
     for i in np.flatnonzero(np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6)):

@@ -18,15 +18,14 @@ CDF value that did not, is NaN; nothing here raises on non-convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diversity import effective_distribution
-from .fading import HopDistribution
 from .numerics import (DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite,
                        integrate_semi_infinite_batch)
-from .relay import Combiner, LinkScenario, end_to_end_cdf
+from .relay import end_to_end_cdf
 
 __all__ = [
     "PskModulation",
@@ -34,7 +33,6 @@ __all__ = [
     "ser_from_cdf",
     "ser_direct",
     "ser_sweep",
-    "shared_cdf",
 ]
 
 
@@ -129,59 +127,38 @@ def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:
     return min(max(mod.a * result.value, 0.0), mod.a / 2.0)
 
 
-def shared_cdf(d1: HopDistribution, d2s, combiner: Combiner = Combiner.EXACT,
-               ser_tol: float = DEFAULT_SER_TOL):
-    """End-to-end CDFs for SER quadratures of tolerance ``ser_tol``, memoized by (law, gamma).
+def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
+    """Analytical SER of each of ``mods`` on each of ``links``, as one batch.
 
-    ``cdf(g, law)`` is F_eq at ``g[j]`` with hop-2 law ``d2s[law[j]]``.
-    The CDF runs ``NESTED_TIGHTENING`` times tighter than the SER.  Every
-    SER integral maps gamma = u^2 onto the same dyadic grid in t, so
-    modulations evaluated at one operating point request many of the same
-    floats; each (law, gamma) is computed once, and a call's missing pairs
-    go to one ``end_to_end_cdf`` batch, whose values equal the values
-    computed alone.  A pair whose inner quadrature does not converge is
-    memoized as the NaN that batch returns.
+    ``links`` are LinkScenarios whose hops carry their mean SNRs, all with
+    one combiner.  Returns an array of shape ``(len(mods), len(links))``:
+    row i holds ``mods[i]``.  All ``len(mods) * len(links)`` SER integrals
+    run as one ``ser_from_cdf`` batch, whose end-to-end CDF runs
+    ``NESTED_TIGHTENING`` times tighter than the SER.  Every SER integral
+    maps gamma = u^2 onto the same dyadic grid in t, so modulations on one
+    link request many of the same floats; each (link, gamma) is computed
+    once, and a round's missing pairs go to one ``end_to_end_cdf`` batch,
+    whose values equal the values computed alone.  An integral whose
+    quadrature does not converge is NaN instead of aborting the sweep.
     """
-    cdf_tol = ser_tol / NESTED_TIGHTENING
+    links, mods = tuple(links), tuple(mods)
+    combiners = {link.combiner for link in links}
+    if len(combiners) != 1:
+        raise ValueError("links must be nonempty and share one combiner")
+    combiner, = combiners
+    d1s = [effective_distribution(link.hop1) for link in links]
+    d2s = [effective_distribution(link.hop2) for link in links]
     memo: dict[tuple[int, float], float] = {}
 
-    def cdf(g, law):
-        keys = list(zip(np.asarray(law).tolist(), np.asarray(g, dtype=float).tolist()))
+    def cdf(g, owner):
+        keys = list(zip((owner % len(links)).tolist(), g.tolist()))
         missing = [k for k in dict.fromkeys(keys) if k not in memo]
         if missing:
-            laws, gammas = (np.array(column) for column in zip(*missing))
-            values = end_to_end_cdf(d1, d2s, gammas, combiner, cdf_tol, law=laws)
+            law, gammas = (np.array(column) for column in zip(*missing))
+            values = end_to_end_cdf(d1s, d2s, gammas, combiner, tol / NESTED_TIGHTENING,
+                                    law=law)
             memo.update(zip(missing, values.tolist()))
         return np.array([memo[k] for k in keys])
 
-    return cdf
-
-
-def ser_sweep(scenario: LinkScenario, mods, hop2_mean_db_grid,
-              hop1_mean_db: float, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
-    """Analytical SER across hop-2 mean SNRs at a fixed hop-1 mean (both dB).
-
-    Returns an array of shape ``(len(mods), len(grid))``: row i is the
-    curve of ``mods[i]``.  The scenario's per-branch means act as
-    placeholders; each sweep point gets the hop-2 law at its mean, and
-    all ``len(mods) * len(grid)`` SER integrals run as one
-    ``ser_from_cdf`` batch over one ``shared_cdf`` of every point's law.
-    A point whose quadrature does not converge is NaN instead of aborting
-    the sweep.
-    """
-    mods = tuple(mods)
-    grid = np.asarray(hop2_mean_db_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("hop2_mean_db_grid must be a nonempty 1-D sequence")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("hop2_mean_db_grid must be strictly increasing")
-
-    d1 = effective_distribution(
-        replace(scenario.hop1, mean_branch_snr=10.0 ** (hop1_mean_db / 10.0)))
-    d2s = [effective_distribution(replace(scenario.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
-           for db in grid]
-    cdf = shared_cdf(d1, d2s, scenario.combiner, tol)
-    points = grid.size
-    ser = ser_from_cdf([mod for mod in mods for _ in range(points)],
-                       lambda g, owner: cdf(g, owner % points), tol)
-    return ser.reshape(len(mods), points)
+    ser = ser_from_cdf([mod for mod in mods for _ in links], cdf, tol)
+    return ser.reshape(len(mods), len(links))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from test_numerics import KNOWN_INTEGRALS
+from test_ser import links_at
 
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
 from twohop.fading import GammaSnr
@@ -55,7 +56,7 @@ def reference(scenario_dir):
     grid = scenario.sweep.values()
     mods = scenario.modulations
     curves = dict(zip((mod.label for mod in mods),
-                      ser_sweep(scenario.link(), mods, grid, HOP1_DB, tol=1e-7)))
+                      ser_sweep(links_at(scenario.link(), HOP1_DB, grid), mods, tol=1e-7)))
     return SimpleNamespace(scenario=scenario, grid=grid, curves=curves,
                            build_seconds=time.perf_counter() - started)
 
@@ -205,7 +206,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
     per_n = {3: values}
     for n, stem in ((2, "mimo_n2"), (4, "mimo_n4")):
         other = load_scenario(scenario_dir / f"{stem}.scenario")
-        rows = ser_sweep(other.link(), other.modulations, reference.grid, HOP1_DB,
+        rows = ser_sweep(links_at(other.link(), HOP1_DB, reference.grid), other.modulations,
                          tol=1e-7)
         per_n[n] = {mod.label: _curve_values(row)
                     for mod, row in zip(other.modulations, rows)}
@@ -221,7 +222,8 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
         HopConfig(1, 3, 1.0, 1.0, CombiningScheme.MRC),
         HopConfig(3, 1, 1.0, 1.0, CombiningScheme.STBC))
     for tag, link in (("MISO_SIMO", miso_simo), ("SIMO_MISO", simo_miso)):
-        mixed = _curve_values(ser_sweep(link, [bpsk], reference.grid, HOP1_DB, 1e-7)[0])
+        mixed = _curve_values(ser_sweep(links_at(link, HOP1_DB, reference.grid), [bpsk],
+                                        1e-7)[0])
         if not np.all(values["BPSK"] < mixed):
             failures.append(f"(d) MIMO_MIMO does not dominate {tag}")
 

@@ -327,11 +327,11 @@ def test_compare_cases_reports_mimo_lowest(tmp_path):
 def test_compare_cases_ties_follow_the_tolerance(tmp_path, monkeypatch, gap, sign):
     # Each SER is only good to --tol (1e-7 by default), so values closer
     # than 2*tol relative are tied and listed in column order.  ser_sweep
-    # runs once per placement, in column order.
-    values = iter([0.01, 0.1 * (1.0 + gap), 0.1])
+    # runs once, over the placements' links in column order.
+    values = [0.01, 0.1 * (1.0 + gap), 0.1]
     monkeypatch.setattr(cli, "ser_sweep",
-                        lambda link, mods, grid, *_: np.full((len(mods), grid.size),
-                                                             next(values)))
+                        lambda links, mods, tol: np.tile(np.repeat(values, len(links) // 3),
+                                                         (len(mods), 1)))
     out = tmp_path / "cmp.csv"
     code, _ = run_main(["compare-cases", "--n", "2", "--sweep", "0:0:1", "--out", str(out)])
     assert code == 0
@@ -339,6 +339,53 @@ def test_compare_cases_ties_follow_the_tolerance(tmp_path, monkeypatch, gap, sig
     want = ("MIMO_MIMO < MISO_SIMO = SIMO_MISO" if sign == "="
             else "MIMO_MIMO < SIMO_MISO < MISO_SIMO")
     assert comments[-1] == f"# ordering BPSK @ 0 dB: {want}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ser-sweep", "--scenario", "mimo_n3"],
+    ["compare-cases", "--n", "3"],
+    ["validate", "--scenario", "mimo_n3"],
+], ids=lambda argv: argv[0])
+def test_each_command_makes_one_ser_batch(monkeypatch, tmp_path, scenario_dir, argv):
+    # ser-sweep mimo_n3 has two hop-1 means and compare-cases three placements;
+    # each command still runs every SER integral in one ser_from_cdf batch.
+    import twohop.ser as ser_module
+
+    batches = []
+    real = ser_module.ser_from_cdf
+
+    def counting(*args, **kwargs):
+        batches.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ser_module, "ser_from_cdf", counting)
+    if "--scenario" in argv:
+        argv = argv[:-1] + [str(scenario_dir / f"{argv[-1]}.scenario")]
+    code, _ = run_main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(batches) == 1
+
+
+def test_compare_cases_work_stays_within_its_counted_budget(monkeypatch, tmp_path):
+    # Quadrature rule calls (inner and outer) and intervals evaluated by
+    # compare-cases --n 3 with three modulations; they do not vary between
+    # machines, and the bounds are the counts at which they stand.
+    import twohop.numerics as numerics_module
+
+    calls, intervals = [], []
+    real_rule = numerics_module._apply_rule
+
+    def counting_rule(f, a, b, owner):
+        calls.append(1)
+        intervals.append(a.size)
+        return real_rule(f, a, b, owner)
+
+    monkeypatch.setattr(numerics_module, "_apply_rule", counting_rule)
+    code, _ = run_main(["compare-cases", "--n", "3", "--modulations", "BPSK,PSK8,PSK16",
+                        "--out", str(tmp_path / "cmp.csv")])
+    assert code == 0
+    assert len(calls) <= 57
+    assert sum(intervals) <= 126_554
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -160,17 +160,31 @@ def test_several_hop2_laws_match_one_law_calls_bit_for_bit(combiner):
     d1 = GammaSnr(shape=4.0, mean=3.0)
     laws = [d2 for _, d2 in BATCH_LAWS]
     law = np.arange(BATCH_POINTS.size) % len(laws)
-    batch = end_to_end_cdf(d1, laws, BATCH_POINTS, combiner, 1e-9, law=law)
+    batch = end_to_end_cdf([d1] * len(laws), laws, BATCH_POINTS, combiner, 1e-9, law=law)
     alone = [end_to_end_cdf(d1, laws[k], g, combiner, 1e-9)
              for k, g in zip(law, BATCH_POINTS)]
     assert batch.tolist() == alone
     for bad in (law[:-1], law + 1, law.astype(float)):
         with pytest.raises(ValueError):
-            end_to_end_cdf(d1, laws, BATCH_POINTS, combiner, 1e-9, law=bad)
+            end_to_end_cdf([d1] * len(laws), laws, BATCH_POINTS, combiner, 1e-9, law=bad)
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_several_links_match_one_link_calls_bit_for_bit(combiner):
+    # each pair has its own hop-1 law, plain or selection
+    d1s, d2s = (list(hop) for hop in zip(*BATCH_LAWS))
+    law = np.arange(BATCH_POINTS.size) % len(BATCH_LAWS)
+    batch = end_to_end_cdf(d1s, d2s, BATCH_POINTS, combiner, 1e-9, law=law)
+    alone = [end_to_end_cdf(d1s[k], d2s[k], g, combiner, 1e-9)
+             for k, g in zip(law, BATCH_POINTS)]
+    assert batch.tolist() == alone
+    with pytest.raises(ValueError, match="one length"):
+        end_to_end_cdf(d1s[:-1], d2s, BATCH_POINTS, combiner, 1e-9, law=law % 2)
 
 
 # Shapes 0.5 to 32, plain and selection laws (2 to 4 candidates) mixed in
-# one hop-2 table, and each of them also as hop 1.
+# one hop-2 table, and each of them also as hop 1 of every link, or all of
+# them as a mixed hop-1 table in reverse order.
 TABLE_LAWS = [
     GammaSnr(0.5, 2.0),
     MaxGammaSnr(GammaSnr(0.5, 3.0), 3),
@@ -182,7 +196,7 @@ TABLE_LAWS = [
 
 
 @pytest.mark.parametrize("combiner", list(Combiner))
-@pytest.mark.parametrize("d1", TABLE_LAWS)
+@pytest.mark.parametrize("d1", TABLE_LAWS + [TABLE_LAWS[::-1]])
 def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch, d1,
                                                                      combiner):
     import twohop.relay as relay_module
@@ -197,7 +211,8 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
     monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", capturing_batch)
     gamma = np.array([1e-6, 0.05, 0.4, 2.0, 7.0, 30.0])
     law = np.arange(len(TABLE_LAWS))
-    end_to_end_cdf(d1, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
+    d1s = d1 if isinstance(d1, list) else [d1] * len(TABLE_LAWS)
+    end_to_end_cdf(d1s, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
     integrand, = integrands
     # y from just above gamma to far into every law's tail
     owner = np.repeat(law, 40)
@@ -208,7 +223,7 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
     want = np.empty_like(y)
     for k, d2 in enumerate(TABLE_LAWS):
         mine = owner == k
-        want[mine] = (d1.cdf(g[mine] * (y[mine] + shift) / (y[mine] - g[mine]))
+        want[mine] = (d1s[k].cdf(g[mine] * (y[mine] + shift) / (y[mine] - g[mine]))
                       * d2.pdf(y[mine]))
     assert np.all(np.isfinite(got)) and np.any(got > 0)
     assert got.tolist() == want.tolist()
@@ -251,7 +266,8 @@ def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
         gamma = np.geomspace(0.01, 20.0, 3 * len(laws))
         calls.clear()
         rounds.clear()
-        end_to_end_cdf(d1, laws, gamma, tol=tol, law=np.arange(gamma.size) % len(laws))
+        end_to_end_cdf([d1] * len(laws), laws, gamma, tol=tol,
+                       law=np.arange(gamma.size) % len(laws))
         assert not any(rounds)
         assert sorted(calls) == sorted(f"{type(d).__name__}.cdf" for d in laws)
         counted.append(len(rounds))

@@ -115,6 +115,14 @@ def test_ser_decreases_with_mean_snr():
     assert values[0] > values[1] > values[2]
 
 
+def links_at(link: LinkScenario, hop1_db: float, grid) -> list[LinkScenario]:
+    """``link`` at hop-1 mean ``hop1_db`` and each hop-2 mean of ``grid`` (dB)."""
+    hop1 = replace(link.hop1, mean_branch_snr=10.0 ** (hop1_db / 10.0))
+    return [replace(link, hop1=hop1,
+                    hop2=replace(link.hop2, mean_branch_snr=10.0 ** (db / 10.0)))
+            for db in grid]
+
+
 def _mimo3_link() -> LinkScenario:
     hop = HopConfig(3, 3, 1.0, 1.0, CombiningScheme.STBC_MRC)
     return LinkScenario(hop, hop)
@@ -135,7 +143,7 @@ def test_transparent_second_hop_saturates_to_single_hop():
 def test_sweep_structure():
     link = _mimo3_link()
     grid = np.array([0.0, 6.0, 12.0])
-    ser = ser_sweep(link, [BPSK, PSK8], grid, hop1_mean_db=3.0, tol=1e-6)
+    ser = ser_sweep(links_at(link, 3.0, grid), [BPSK, PSK8], tol=1e-6)
     assert isinstance(ser, np.ndarray) and ser.shape == (2, 3)
     for mod, values in zip((BPSK, PSK8), ser):
         assert np.all((0.0 < values) & (values < mod.a / 2.0))
@@ -156,32 +164,42 @@ def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
     link = _mimo3_link()
     grid = np.array([2.0, 9.0])
     mods = (BPSK, PSK8, PSK16)
-    singles = [ser_sweep(link, [mod], grid, 3.0) for mod in mods]
+    singles = [ser_sweep(links_at(link, 3.0, grid), [mod]) for mod in mods]
     single_points = sum(requested)
     requested.clear()
-    shared = ser_sweep(link, mods, grid, 3.0)
+    shared = ser_sweep(links_at(link, 3.0, grid), mods)
     assert np.array_equal(shared, np.vstack(singles))
     assert sum(requested) < single_points
 
 
-def test_sweep_validates_inputs():
+def test_several_hop1_means_in_one_sweep_match_their_own_sweeps():
     link = _mimo3_link()
+    grid = [2.0, 9.0]
+    mods = (BPSK, PSK16)
+    ser = ser_sweep(links_at(link, 0.0, grid) + links_at(link, 6.0, grid), mods)
+    alone = np.hstack([ser_sweep(links_at(link, hop1_db, grid), mods) for hop1_db in (0.0, 6.0)])
+    assert np.all(np.isfinite(ser)) and np.array_equal(ser, alone)
+    assert np.all(ser[:, :2] > ser[:, 2:])  # a stronger first hop only helps
+
+
+def test_sweep_validates_inputs():
+    links = links_at(_mimo3_link(), 3.0, [0.0, 5.0])
     with pytest.raises(ValueError):
-        ser_sweep(link, [BPSK], [], 3.0)
+        ser_sweep(links, [BPSK], tol=0.0)
     with pytest.raises(ValueError):
-        ser_sweep(link, [BPSK], [3.0, 1.0], 3.0)
+        ser_sweep(links, [BPSK], tol=0.5)
     with pytest.raises(ValueError):
-        ser_sweep(link, [BPSK], [0.0, 5.0], 3.0, tol=0.0)
-    with pytest.raises(ValueError):
-        ser_sweep(link, [BPSK], [0.0, 5.0], 3.0, tol=0.5)
-    with pytest.raises(ValueError):
-        ser_sweep(link, (), [0.0, 5.0], 3.0)
+        ser_sweep(links, ())
+    with pytest.raises(ValueError, match="one combiner"):
+        ser_sweep([], [BPSK])
+    with pytest.raises(ValueError, match="one combiner"):
+        ser_sweep([links[0], replace(links[1], combiner=Combiner.HARMONIC)], [BPSK])
 
 
 def test_sweep_records_failed_points_instead_of_aborting():
     link = _mimo3_link()
     # a tolerance below the roundoff floor cannot be certified
-    ser = ser_sweep(link, [BPSK, PSK8], np.array([5.0]), 3.0, tol=1e-15)
+    ser = ser_sweep(links_at(link, 3.0, [5.0]), [BPSK, PSK8], tol=1e-15)
     assert ser.shape == (2, 1)
     assert np.all(np.isnan(ser))
 
@@ -239,7 +257,7 @@ def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch)
     link = _tas_harmonic_link()
     mods = (BPSK, PSK8, PSK16)
     grid = [15.0, 19.0]
-    ser = ser_sweep(link, mods, grid, 4.0)
+    ser = ser_sweep(links_at(link, 4.0, grid), mods)
     assert np.isnan(ser).tolist() == [[False, True], [False, False], [False, False]]
     assert ser[1, 1] == 0.2512937201945847
     assert ser[2, 1] == 0.5315316844508694
@@ -249,7 +267,7 @@ def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch)
     monkeypatch.undo()
     for i, mod in enumerate(mods):
         for j, db in enumerate(grid):
-            alone = ser_sweep(link, [mod], [db], 4.0)
+            alone = ser_sweep(links_at(link, 4.0, [db]), [mod])
             assert np.array_equal(alone[0, 0], ser[i, j], equal_nan=True), (mod.label, db)
 
 
@@ -257,7 +275,7 @@ def test_tas_harmonic_psk8_cell_agrees_with_monte_carlo():
     # The cell next to the one that cannot converge, against 2M draws of
     # the link, within the benchmark's 4.4 standard-error band.
     link = _tas_harmonic_link()
-    ser = ser_sweep(link, [PSK8], [19.0], 4.0)[0, 0]
+    ser = ser_sweep(links_at(link, 4.0, [19.0]), [PSK8])[0, 0]
     at_means = LinkScenario(replace(link.hop1, mean_branch_snr=10.0 ** 0.4),
                             replace(link.hop2, mean_branch_snr=10.0 ** 1.9), link.combiner)
     estimate, halfwidth = mc_ser(PSK8, simulate_end_to_end(at_means, McRun(410, 2_000_000)))
@@ -271,8 +289,8 @@ def test_sweep_equals_stacked_single_point_sweeps(combiner):
     assert isinstance(effective_distribution(link.hop2), MaxGammaSnr)
     grid = [0.0, 6.0, 12.0, 18.0]
     mods = (BPSK, PSK16)
-    swept = ser_sweep(link, mods, grid, 3.0)
-    single = np.hstack([ser_sweep(link, mods, [db], 3.0) for db in grid])
+    swept = ser_sweep(links_at(link, 3.0, grid), mods)
+    single = np.hstack([ser_sweep(links_at(link, 3.0, [db]), mods) for db in grid])
     assert np.all(np.isfinite(swept))
     assert np.array_equal(swept, single, equal_nan=True)
 
@@ -300,17 +318,17 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     sweeps = [
-        (scenario.link(), scenario.modulations, scenario.sweep.values(),
-         scenario.hop1_snr_db[0], 0),
+        (links_at(scenario.link(), scenario.hop1_snr_db[0], scenario.sweep.values()),
+         scenario.modulations, 0),
         # an inner CDF element that cannot converge costs no second request:
         # the failed integrand's last round asks for nothing
-        (_tas_harmonic_link(), (BPSK, PSK8, PSK16), [15.0, 19.0], 4.0, 1),
+        (links_at(_tas_harmonic_link(), 4.0, [15.0, 19.0]), (BPSK, PSK8, PSK16), 1),
     ]
-    for link, mods, grid, hop1_db, lost in sweeps:
+    for links, mods, lost in sweeps:
         requests.clear()
         calls_per_round.clear()
-        ser = ser_sweep(link, mods, grid, hop1_db)
-        assert ser.shape == (len(mods), len(grid)) and np.isnan(ser).sum() == lost
+        ser = ser_sweep(links, mods)
+        assert ser.shape == (len(mods), len(links)) and np.isnan(ser).sum() == lost
         assert set(calls_per_round) <= {0, 1} and requests
         pairs = [pair for request in requests for pair in request]
         assert len(pairs) == len(set(pairs))
@@ -333,7 +351,8 @@ def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
     monkeypatch.setattr(numerics_module, "_apply_rule", counting_rule)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     assert [mod.label for mod in scenario.modulations] == ["BPSK", "PSK8", "PSK16"]
-    ser = ser_sweep(scenario.link(), scenario.modulations, scenario.sweep.values(), 2.0)
+    ser = ser_sweep([scenario.link_at(2.0, db) for db in scenario.sweep.values()],
+                    scenario.modulations)
     assert ser.shape == (3, 21) and np.isfinite(ser).all()
     assert len(calls) <= 33
     assert sum(intervals) <= 47_898
