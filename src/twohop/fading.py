@@ -18,7 +18,6 @@ directly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +58,10 @@ def _power(base: np.ndarray, n) -> np.ndarray:
 class LawTable:
     """Parameters of a sequence of hop laws, one row per law.
 
-    Columns: shape k, rate k/mean, scale mean/k, gammaln(k), k*log(scale)
-    and the selection candidate count (1 for a plain Gamma law).  The
+    Columns: shape k, rate k/mean, scale mean/k, gammaln(k), k*log(scale),
+    the selection candidate count (1 for a plain Gamma law) and
+    ``mean_bound``, candidates * mean: the mean of a plain law, a cheap
+    upper bound of it under selection.  The
     constants are computed once, by the same scalar functions as for one
     law alone, so an element's arithmetic does not depend on the table
     it sits in.  ``cdf(x, law)`` and ``pdf(x, law)`` evaluate law
@@ -76,9 +77,9 @@ class LawTable:
             base, n = _base_and_count(d)
             k, theta = base.shape, base.scale
             rows.append((k, k / base.mean, theta, float(special.gammaln(k)),
-                         k * math.log(theta), n))
+                         k * math.log(theta), n, base.mean * n))
         (self.shape, self.rate, self.scale, self.log_gamma, self.shape_log_scale,
-         self.candidates) = (np.array(column) for column in zip(*rows))
+         self.candidates, self.mean_bound) = (np.array(column) for column in zip(*rows))
         # A table without selection laws skips the powers, which are 1.
         self.selection = bool(np.any(self.candidates > 1))
 
@@ -156,12 +157,6 @@ class GammaSnr:
         """P{SNR <= snr}: regularized lower incomplete gamma P(shape, snr/scale)."""
         return _checked_cdf(self, snr)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` i.i.d. variates from the supplied generator."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        return rng.gamma(self.shape, self.scale, size=int(n))
-
 
 @dataclass(frozen=True)
 class MaxGammaSnr:
@@ -186,13 +181,6 @@ class MaxGammaSnr:
     def pdf(self, snr):
         """Density at ``snr`` (scalar or ndarray)."""
         return _checked_pdf(self, snr)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        draws = self.base.sample(rng, int(n) * self.candidates)
-        # Column by column: max over the short axis costs far more per sample.
-        return functools.reduce(np.maximum, draws.reshape(int(n), self.candidates).T)
 
 
 HopDistribution = GammaSnr | MaxGammaSnr

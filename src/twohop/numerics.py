@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_SER_TOL",
     "NESTED_TIGHTENING",
     "START_PARTITION",
+    "ABS_FLOOR",
 ]
 
 #: Default relative tolerance for inner (CDF) quadratures.
@@ -55,6 +56,9 @@ NESTED_TIGHTENING = 100.0
 #: Breakpoints, as fractions of ``[lo, hi]``, of the pieces every integrand
 #: starts from: bisection's first three rounds on the upper side.
 START_PARTITION = (0.0, 0.5, 0.75, 0.875, 1.0)
+#: Magnitude below which a relative tolerance is applied to the floor instead
+#: of the integral's value: ``error <= tol * max(|value|, ABS_FLOOR)``.
+ABS_FLOOR = 1e-12
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 # Nodes ascending; the Gauss subset sits at the odd indices.
@@ -138,7 +142,8 @@ def _apply_rule(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
                        dtype=float).reshape(x.shape)
         vals[part] = half * (y * _WK).sum(axis=1)
         errs[part] = np.abs(vals[part] - half * (y[:, 1::2] * _WG).sum(axis=1))
-    bad = ~np.isfinite(vals)
+    # An infinite value is refined away; a NaN one stays, to retire its integrand.
+    bad = np.isinf(vals)
     vals[bad] = 0.0
     errs[bad] = np.inf
     return vals, errs
@@ -155,7 +160,6 @@ def _first_max_per_owner(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def integrate_batch(f: Callable, lo, hi, tol: float, *,
-                    abs_floor: float = 1e-12,
                     max_intervals: int = 2048) -> BatchQuadrature:
     """Integrate a batch of integrands, the i-th over ``[lo[i], hi[i]]``.
 
@@ -167,9 +171,11 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
     share of half the remaining budget (at least the worst one), so flat
     regions are left alone while problem spots are chased.  An integrand
     retires converged once its summed local errors drop below
-    ``tol * max(|value|, abs_floor)``, and unconverged, with its best
+    ``tol * max(|value|, ABS_FLOOR)``, and unconverged, with its best
     estimate, once it reaches ``max_intervals`` or has no interval left
-    wider than rounding.  Every
+    wider than rounding.  A NaN integrand value retires its integrand
+    unconverged, with value NaN, in the round that meets it; an infinite
+    one counts as value 0 with an infinite error, to be refined.  Every
     decision and sum is per integrand, so an integrand's result does not
     depend on the rest of the batch.  ``evaluations`` counts every node
     evaluated, the start pieces' included; a ``max_intervals`` below the
@@ -211,13 +217,13 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         active[owner] = True
         total = np.bincount(owner, vals, minlength=n)
         total_err = np.bincount(owner, errs, minlength=n)
-        target = tol * np.maximum(np.abs(total), abs_floor)
+        target = tol * np.maximum(np.abs(total), ABS_FLOOR)
         value[active] = total[active]
         error[active] = total_err[active]
         done = active & (total_err <= target)
         converged |= done
         splittable = (b - a) > width_floor[owner]
-        done |= active & ((count >= max_intervals)
+        done |= active & ((count >= max_intervals) | np.isnan(total)
                           | (np.bincount(owner[splittable], minlength=n) == 0))
         if done.any():
             keep = ~done[owner]
@@ -259,7 +265,6 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
 
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,
-                     abs_floor: float = 1e-12,
                      max_intervals: int = 2048) -> QuadratureResult:
     """Integrate ``f`` over ``[lo, hi]`` to relative tolerance ``tol``.
 
@@ -267,8 +272,7 @@ def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,
     ``max_intervals`` the best estimate comes back with ``converged=False``
     rather than raising.
     """
-    r = integrate_batch(lambda x, _: f(x), lo, hi, tol,
-                        abs_floor=abs_floor, max_intervals=max_intervals)
+    r = integrate_batch(lambda x, _: f(x), lo, hi, tol, max_intervals=max_intervals)
     return QuadratureResult(float(r.value[0]), float(r.error_estimate[0]),
                             int(r.evaluations[0]), bool(r.converged[0]))
 
@@ -297,7 +301,6 @@ def _unit_interval(f: Callable, lo, scale) -> Callable:
 
 def integrate_semi_infinite(f: Callable, lo: float, tol: float, *,
                             scale: float = 1.0,
-                            abs_floor: float = 1e-12,
                             max_intervals: int = 2048) -> QuadratureResult:
     """Integrate ``f`` over ``[lo, inf)`` via ``x = lo + scale*t/(1-t)`` on [0, 1).
 
@@ -310,11 +313,10 @@ def integrate_semi_infinite(f: Callable, lo: float, tol: float, *,
     # Through integrate_finite, which bench/tracing.py counts by name.
     mapped = _unit_interval(lambda x, _: f(x), lo, scale)
     return integrate_finite(lambda t: mapped(t, 0), 0.0, 1.0, tol,
-                            abs_floor=abs_floor, max_intervals=max_intervals)
+                            max_intervals=max_intervals)
 
 
 def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *, scale,
-                                  abs_floor: float = 1e-12,
                                   max_intervals: int = 2048) -> BatchQuadrature:
     """``integrate_semi_infinite`` for a batch: ``f(x, owner)`` over ``[lo[i], inf)``.
 
@@ -323,7 +325,7 @@ def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *, scale,
     """
     n = np.size(lo)
     return integrate_batch(_unit_interval(f, lo, scale), np.zeros(n), np.ones(n), tol,
-                           abs_floor=abs_floor, max_intervals=max_intervals)
+                           max_intervals=max_intervals)
 
 
 _SQRT2 = math.sqrt(2.0)

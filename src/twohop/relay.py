@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .diversity import HopConfig
-from .fading import GammaSnr, HopDistribution, LawTable
+from .fading import HopDistribution, LawTable
 from .numerics import DEFAULT_CDF_TOL, integrate_semi_infinite_batch
 
 __all__ = [
@@ -72,18 +72,6 @@ class LinkScenario:
             raise ValueError(
                 "relay antenna count mismatch: hop1.n_rx="
                 f"{self.hop1.n_rx} but hop2.n_tx={self.hop2.n_tx}")
-
-
-def _mean_scale(d: HopDistribution) -> float:
-    """Characteristic magnitude of a hop law, for quadrature substitutions.
-
-    For the antenna-selection law the exact mean needs an integral of its
-    own; ``candidates * base.mean`` is a cheap upper bound of the right
-    order, which is all a substitution scale has to be.
-    """
-    if isinstance(d, GammaSnr):
-        return d.mean
-    return d.base.mean * d.candidates
 
 
 def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
@@ -170,8 +158,10 @@ def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
     # The integrand's mass sits either just above gamma or around the hop-2
     # mean, whichever is larger; matching the substitution scale to that
     # keeps the mass visible to the initial quadrature nodes even when the
-    # hop-2 mean is orders of magnitude away from gamma.
-    scale = np.array([_mean_scale(d) for d in d2s])[law]
+    # hop-2 mean is orders of magnitude away from gamma.  Under selection
+    # the exact mean needs an integral of its own; the table's upper bound
+    # is of the right order, which is all a substitution scale has to be.
+    scale = hop2.mean_bound[law]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = integrate_semi_infinite_batch(integrand, gamma, tol,
                                                scale=np.maximum(scale, gamma))

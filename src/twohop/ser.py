@@ -76,10 +76,10 @@ def ser_from_cdf(mods, cdf, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     Integrand i is the SER of ``mods[i]``.  ``cdf(g, owner)`` maps a 1-D
     ndarray of linear SNRs, ``g[j]`` asked for by integrand ``owner[j]``,
     to probabilities of the same shape; a NaN marks a value it could not
-    compute and fails every integrand that asks for it.  Returns an array
-    of ``len(mods)`` SERs to relative tolerance ``tol`` in (0, 1e-2], NaN
-    where the quadrature did not converge.  Every value is bit-identical
-    to a batch of that modulation alone.
+    compute and retires every integrand that asks for it unconverged.
+    Returns an array of ``len(mods)`` SERs to relative tolerance ``tol`` in
+    (0, 1e-2], NaN where the quadrature did not converge.  Every value is
+    bit-identical to a batch of that modulation alone.
     """
     mods = tuple(mods)
     if not mods:
@@ -88,26 +88,21 @@ def ser_from_cdf(mods, cdf, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
     a = np.array([mod.a for mod in mods])
     b = np.array([mod.b for mod in mods])
-    failed = np.zeros(len(mods), dtype=bool)
 
     def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
         weight = np.exp(-b[owner] * u * u)
         out = np.zeros_like(u)
-        live = (weight > 0.0) & ~failed[owner]
+        live = weight > 0.0
         if live.any():
             u_live = u[live]
-            values = np.asarray(cdf(u_live * u_live, owner[live]), dtype=float)
-            failed[owner[live][np.isnan(values)]] = True
-            out[live] = weight[live] * values
-            # A failed integrand integrates zero from here on, so it
-            # retires without further CDF requests.
-            out[failed[owner]] = 0.0
+            out[live] = weight[live] * np.asarray(cdf(u_live * u_live, owner[live]),
+                                                  dtype=float)
         return out
 
     n = len(mods)
     result = integrate_semi_infinite_batch(integrand, np.zeros(n), tol, scale=np.ones(n))
     ser = np.minimum(np.maximum(a * np.sqrt(b / math.pi) * result.value, 0.0), a / 2.0)
-    return np.where(result.converged & ~failed, ser, math.nan)
+    return np.where(result.converged, ser, math.nan)
 
 
 def ser_direct(mod: PskModulation, dist, tol: float = DEFAULT_SER_TOL) -> float:

@@ -198,6 +198,39 @@ def test_stuck_integrand_retires_alone():
                                         alone.evaluations, alone.converged)
 
 
+def _poisoned(bad: float):
+    """x^2 on [0, 0.9], then ``bad``: the start piece [7/8, 1] meets it at once."""
+    return lambda x: np.where(x > 0.9, bad, x * x)
+
+
+def test_nan_integrand_retires_at_once_and_alone():
+    # A NaN value retires its integrand unconverged after the start pieces;
+    # an infinite one is bisected until the budget runs out.
+    start = (len(START_PARTITION) - 1) * 15
+    with np.errstate(invalid="ignore"):  # inf - inf in the infinite pieces' errors
+        nan_alone = integrate_finite(_poisoned(math.nan), 0.0, 1.0, 1e-9, max_intervals=64)
+        inf_alone = integrate_finite(_poisoned(math.inf), 0.0, 1.0, 1e-9, max_intervals=64)
+    assert not nan_alone.converged and math.isnan(nan_alone.value)
+    assert nan_alone.evaluations == start < inf_alone.evaluations
+    assert not inf_alone.converged
+
+    cases = [(lambda x: x * x, 0.0, 1.0), (_poisoned(math.nan), 0.0, 1.0),
+             (lambda x: np.sin(1.0 / x), 1e-3, 1.0)]
+
+    def f(x, owner):
+        return np.choose(owner, [g(x) for g, _, _ in cases])
+
+    batch = integrate_batch(f, [c[1] for c in cases], [c[2] for c in cases], 1e-9,
+                            max_intervals=4096)
+    assert batch.converged.tolist() == [True, False, True]
+    for i, (g, a, b) in enumerate(cases):
+        alone = integrate_finite(g, a, b, 1e-9, max_intervals=4096)
+        assert np.array_equal([batch.value[i], batch.error_estimate[i]],
+                              [alone.value, alone.error_estimate], equal_nan=True)
+        assert (batch.evaluations[i], batch.converged[i]) == (alone.evaluations,
+                                                              alone.converged)
+
+
 def test_first_max_per_owner_matches_an_owner_loop():
     rng = np.random.default_rng(4)
     owner = rng.integers(0, 9, 400)

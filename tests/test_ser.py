@@ -319,17 +319,19 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     sweeps = [
         (links_at(scenario.link(), scenario.hop1_snr_db[0], scenario.sweep.values()),
-         scenario.modulations, 0),
-        # an inner CDF element that cannot converge costs no second request:
-        # the failed integrand's last round asks for nothing
-        (links_at(_tas_harmonic_link(), 4.0, [15.0, 19.0]), (BPSK, PSK8, PSK16), 1),
+         scenario.modulations, 0, 3),
+        # an inner CDF element that cannot converge retires its integrand in
+        # the round that meets it, so nothing asks for it again and that
+        # integrand adds no round of its own
+        (links_at(_tas_harmonic_link(), 4.0, [15.0, 19.0]), (BPSK, PSK8, PSK16), 1, 2),
     ]
-    for links, mods, lost in sweeps:
+    for links, mods, lost, rounds in sweeps:
         requests.clear()
         calls_per_round.clear()
         ser = ser_sweep(links, mods)
         assert ser.shape == (len(mods), len(links)) and np.isnan(ser).sum() == lost
         assert set(calls_per_round) <= {0, 1} and requests
+        assert len(calls_per_round) == rounds
         pairs = [pair for request in requests for pair in request]
         assert len(pairs) == len(set(pairs))
 
