@@ -26,8 +26,8 @@ from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
 from .scenario import (MAX_SWEEP_POINTS, Scenario, ScenarioError, check_db,
-                       check_fading_figure, db_to_linear, load_scenario,
-                       parse_modulations, parse_sweep, placement_hops)
+                       check_diversity_order, check_fading_figure, db_to_linear,
+                       load_scenario, parse_modulations, parse_sweep, placement_hops)
 from .ser import ser_sweep
 
 DEFAULT_SEED = 1729
@@ -251,28 +251,26 @@ def _parse_grid(spec: str | None) -> np.ndarray | None:
         return None
     raw = spec.strip()
     if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ScenarioError(f"--grid must be lo:hi:count, got {spec!r}",
-                                field="grid")
         try:
-            lo, hi = float(parts[0]), float(parts[1])
-            count = int(parts[2])
+            lo, hi, count = raw.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
-            raise ScenarioError(f"--grid must contain numbers, got {spec!r}",
+            raise ScenarioError(f"--grid must be lo:hi:count, got {spec!r}",
                                 field="grid") from None
-        if not (1 <= count <= MAX_SWEEP_POINTS and 0 <= lo <= hi < math.inf):
-            raise ScenarioError(f"--grid needs 0 <= lo <= hi < inf and 1 <= count <= "
-                                f"{MAX_SWEEP_POINTS}, got {spec!r}", field="grid")
-        return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-    try:
-        points = np.array([float(t) for t in raw.split(",") if t.strip()])
-    except ValueError:
-        raise ScenarioError(f"--grid must be lo:hi:count or a comma list, "
-                            f"got {spec!r}", field="grid") from None
-    if not 0 < points.size <= MAX_SWEEP_POINTS:
-        raise ScenarioError(f"--grid needs 1 to {MAX_SWEEP_POINTS} points, "
-                            f"got {points.size}", field="grid")
+        if not 1 <= count <= MAX_SWEEP_POINTS:
+            raise ScenarioError(f"--grid needs 1 <= count <= {MAX_SWEEP_POINTS}, "
+                                f"got {spec!r}", field="grid")
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite ends fail below
+            points = np.linspace(lo, hi, count)
+    else:
+        try:
+            points = np.array([float(t) for t in raw.split(",") if t.strip()])
+        except ValueError:
+            raise ScenarioError(f"--grid must be lo:hi:count or a comma list, "
+                                f"got {spec!r}", field="grid") from None
+        if not 0 < points.size <= MAX_SWEEP_POINTS:
+            raise ScenarioError(f"--grid needs 1 to {MAX_SWEEP_POINTS} points, "
+                                f"got {points.size}", field="grid")
     if (not np.all(np.isfinite(points) & (points >= 0))
             or (points.size > 1 and not np.all(np.diff(points) > 0))):
         raise ScenarioError("--grid must be finite, nonnegative and strictly increasing",
@@ -427,6 +425,8 @@ def cmd_compare_cases(args) -> int:
     mods = parse_modulations(args.modulations, "modulations")
 
     placements = _case_links(args.n, args.m, combiner)
+    for hop in (h for _, link in placements for h in (link.hop1, link.hop2)):
+        check_diversity_order(hop, "m")
     cases = [label for label, _ in placements]
     hop1_mean = db_to_linear(args.hop1_snr_db)
     links = [replace(link, hop1=replace(link.hop1, mean_branch_snr=hop1_mean),

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fading import GammaSnr, HopDistribution, MaxGammaSnr
+from .fading import GammaSnr
 
 __all__ = [
     "CombiningScheme",
@@ -69,32 +69,30 @@ def _expect_scheme(cfg: HopConfig, scheme: CombiningScheme):
         raise ValueError(f"config scheme is {cfg.scheme.name}, expected {scheme.name}")
 
 
-def mrc_effective(cfg: HopConfig) -> HopDistribution:
+def mrc_effective(cfg: HopConfig) -> GammaSnr:
     """Receive combining: branch SNRs add, giving array gain and diversity n_rx."""
     _expect_scheme(cfg, CombiningScheme.MRC)
     return GammaSnr(shape=cfg.m * cfg.n_rx, mean=cfg.mean_branch_snr * cfg.n_rx)
 
 
-def stbc_effective(cfg: HopConfig) -> HopDistribution:
+def stbc_effective(cfg: HopConfig) -> GammaSnr:
     """Orthogonal transmit diversity with 1/n_tx power split: mean preserved."""
     _expect_scheme(cfg, CombiningScheme.STBC)
     return GammaSnr(shape=cfg.m * cfg.n_tx, mean=cfg.mean_branch_snr)
 
 
-def mimo_effective(cfg: HopConfig) -> HopDistribution:
+def mimo_effective(cfg: HopConfig) -> GammaSnr:
     """STBC across n_tx transmitters into an n_rx-branch MRC receiver."""
     _expect_scheme(cfg, CombiningScheme.STBC_MRC)
     return GammaSnr(shape=cfg.m * cfg.n_tx * cfg.n_rx,
                     mean=cfg.mean_branch_snr * cfg.n_rx)
 
 
-def tas_effective(cfg: HopConfig) -> HopDistribution:
-    """Best of n_tx candidate MRC outputs; reduces to plain MRC for n_tx = 1."""
+def tas_effective(cfg: HopConfig) -> GammaSnr:
+    """Best of n_tx candidate MRC outputs; plain MRC for n_tx = 1."""
     _expect_scheme(cfg, CombiningScheme.TAS_MRC)
-    base = GammaSnr(shape=cfg.m * cfg.n_rx, mean=cfg.mean_branch_snr * cfg.n_rx)
-    if cfg.n_tx == 1:
-        return base
-    return MaxGammaSnr(base=base, candidates=cfg.n_tx)
+    return GammaSnr(shape=cfg.m * cfg.n_rx, mean=cfg.mean_branch_snr * cfg.n_rx,
+                    candidates=cfg.n_tx)
 
 
 _BUILDERS = {
@@ -105,6 +103,6 @@ _BUILDERS = {
 }
 
 
-def effective_distribution(cfg: HopConfig) -> HopDistribution:
+def effective_distribution(cfg: HopConfig) -> GammaSnr:
     """Effective hop SNR law for any supported combining scheme."""
     return _BUILDERS[cfg.scheme](cfg)

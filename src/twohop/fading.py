@@ -4,16 +4,15 @@ The instantaneous SNR of a Nakagami-m faded branch is Gamma distributed
 with shape m and the branch's mean SNR as mean.  Sums of i.i.d. branch
 SNRs (diversity combining) stay inside the Gamma family — shapes add at
 fixed scale — and transmit antenna selection takes the maximum of several
-i.i.d. Gamma laws.  The two classes below therefore cover every hop
+i.i.d. Gamma laws.  So one class, ``GammaSnr``, covers every hop
 configuration in this package.  SNRs are linear power ratios, never dB.
 
 Each formula has one implementation, in the internal ``LawTable``: a
 table of hop-law parameters whose ``cdf``/``pdf`` evaluate any mix of laws
 in one vectorized expression and check nothing.  The public ``cdf``/``pdf``
-methods of ``GammaSnr`` and ``MaxGammaSnr`` are the checked boundary: they
-check their argument, then evaluate their one-row table.  Quadrature
-integrands, whose nodes their caller has already checked, read a table
-directly.
+methods of ``GammaSnr`` are the checked boundary: they check their
+argument, then evaluate their one-row table.  Quadrature integrands, whose
+nodes their caller has already checked, read a table directly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-__all__ = ["GammaSnr", "MaxGammaSnr", "HopDistribution", "from_nakagami"]
+__all__ = ["GammaSnr", "from_nakagami"]
 
 
 def _as_array(snr):
@@ -34,15 +33,6 @@ def _as_array(snr):
     if np.any(values < 0):
         raise ValueError("snr must be nonnegative")
     return values, scalar
-
-
-def _shaped(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
-
-
-def _base_and_count(d: HopDistribution) -> tuple[GammaSnr, int]:
-    """The candidate Gamma law of ``d`` and how many candidates it takes the largest of."""
-    return (d, 1) if isinstance(d, GammaSnr) else (d.base, d.candidates)
 
 
 def _power(base: np.ndarray, n) -> np.ndarray:
@@ -56,12 +46,11 @@ def _power(base: np.ndarray, n) -> np.ndarray:
 
 
 class LawTable:
-    """Parameters of a sequence of hop laws, one row per law.
+    """Parameters of a sequence of ``GammaSnr`` laws, one row per law.
 
     Columns: shape k, rate k/mean, scale mean/k, gammaln(k), k*log(scale),
-    the selection candidate count (1 for a plain Gamma law) and
-    ``mean_bound``, candidates * mean: the mean of a plain law, a cheap
-    upper bound of it under selection.  The
+    the candidate count and ``mean_bound``, candidates * mean: the mean of
+    a one-candidate law, a cheap upper bound of it under selection.  The
     constants are computed once, by the same scalar functions as for one
     law alone, so an element's arithmetic does not depend on the table
     it sits in.  ``cdf(x, law)`` and ``pdf(x, law)`` evaluate law
@@ -74,10 +63,9 @@ class LawTable:
     def __init__(self, laws):
         rows = []
         for d in laws:
-            base, n = _base_and_count(d)
-            k, theta = base.shape, base.scale
-            rows.append((k, k / base.mean, theta, float(special.gammaln(k)),
-                         k * math.log(theta), n, base.mean * n))
+            k, theta, n = d.shape, d.scale, d.candidates
+            rows.append((k, k / d.mean, theta, float(special.gammaln(k)),
+                         k * math.log(theta), n, d.mean * n))
         (self.shape, self.rate, self.scale, self.log_gamma, self.shape_log_scale,
          self.candidates, self.mean_bound) = (np.array(column) for column in zip(*rows))
         # A table without selection laws skips the powers, which are 1.
@@ -104,86 +92,64 @@ class LawTable:
         return out
 
 
-def _checked_cdf(d: HopDistribution, snr):
-    values, scalar = _as_array(snr)
-    return _shaped(LawTable((d,)).cdf(values, 0), scalar)
-
-
-def _checked_pdf(d: HopDistribution, snr):
-    values, scalar = _as_array(snr)
-    out = values.copy()  # a NaN snr keeps its NaN density
-    pos = values > 0
-    out[pos] = LawTable((d,)).pdf(values[pos], 0)
-    origin = values == 0
-    if origin.any():
-        out[origin] = _origin_density(d)
-    return _shaped(out, scalar)
-
-
-def _origin_density(d: HopDistribution) -> float:
+def _origin_density(d: GammaSnr) -> float:
     """Limit of the density at 0+, which depends on candidates * shape relative to 1."""
-    base, n = _base_and_count(d)
-    kn = n * base.shape
+    n = d.candidates
+    kn = n * d.shape
     if kn > 1.0:
         return 0.0
     if kn < 1.0:
         return math.inf
-    return n / (special.gamma(base.shape + 1.0) ** (n - 1)
-                * special.gamma(base.shape) * base.scale)
+    return n / (special.gamma(d.shape + 1.0) ** (n - 1) * special.gamma(d.shape) * d.scale)
 
 
 @dataclass(frozen=True)
 class GammaSnr:
-    """Gamma-distributed linear SNR, parameterized by (shape, mean)."""
+    """Largest of ``candidates`` i.i.d. Gamma(shape, mean) linear SNRs.
+
+    One candidate (the default) is a branch or a combiner's sum of branches;
+    more give the antenna-selection law, with CDF F**candidates and density
+    candidates * F**(candidates-1) * f, where F and f are a candidate's.
+    """
 
     shape: float
     mean: float
+    candidates: int = 1
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-        if not self.mean > 0:
-            raise ValueError(f"mean must be positive, got {self.mean}")
+        if not 0 < self.shape < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {self.shape}")
+        if not 0 < self.mean < math.inf:
+            raise ValueError(f"mean must be positive and finite, got {self.mean}")
+        if int(self.candidates) != self.candidates or self.candidates < 1:
+            raise ValueError(
+                f"candidates must be a positive integer, got {self.candidates}")
 
     @property
     def scale(self) -> float:
         return self.mean / self.shape
 
-    def pdf(self, snr):
-        """Density at ``snr`` (scalar or ndarray)."""
-        return _checked_pdf(self, snr)
-
     def cdf(self, snr):
-        """P{SNR <= snr}: regularized lower incomplete gamma P(shape, snr/scale)."""
-        return _checked_cdf(self, snr)
-
-
-@dataclass(frozen=True)
-class MaxGammaSnr:
-    """Largest of ``candidates`` i.i.d. GammaSnr draws (antenna-selection law).
-
-    The CDF is ``base.cdf ** candidates``; the density follows by
-    differentiation: ``candidates * F**(candidates-1) * f``.
-    """
-
-    base: GammaSnr
-    candidates: int
-
-    def __post_init__(self):
-        if int(self.candidates) != self.candidates or self.candidates < 1:
-            raise ValueError(
-                f"candidates must be a positive integer, got {self.candidates}")
-
-    def cdf(self, snr):
-        """P{SNR <= snr} of the largest candidate."""
-        return _checked_cdf(self, snr)
+        """P{SNR <= snr} (scalar or ndarray): P(shape, snr/scale) ** candidates."""
+        values, scalar = _as_array(snr)
+        out = LawTable((self,)).cdf(values, 0)
+        return float(out[0]) if scalar else out
 
     def pdf(self, snr):
         """Density at ``snr`` (scalar or ndarray)."""
-        return _checked_pdf(self, snr)
+        values, scalar = _as_array(snr)
+        out = values.copy()  # a NaN snr keeps its NaN density
+        pos = values > 0
+        out[pos] = LawTable((self,)).pdf(values[pos], 0)
+        origin = values == 0
+        if origin.any():
+            out[origin] = _origin_density(self)
+        return float(out[0]) if scalar else out
 
 
-HopDistribution = GammaSnr | MaxGammaSnr
+# A name only: bench/tracing.py wraps cdf/pdf of every class name it lists, so
+# here the two wrappers nest on one class, and it counts only the outer span.
+MaxGammaSnr = GammaSnr
 
 
 def from_nakagami(m: float, mean_snr: float) -> GammaSnr:

@@ -150,12 +150,13 @@ def mc_ser(mod: PskModulation, eq_samples) -> tuple[float, float]:
     samples = np.asarray(eq_samples, dtype=float)
     if samples.size == 0:
         raise ValueError("eq_samples must be nonempty")
-    sep = conditional_sep(mod, samples)
-    estimate = float(sep.mean())
-    if samples.size < 2:
-        return estimate, 0.0
-    halfwidth = 1.96 * float(sep.std(ddof=1)) / math.sqrt(samples.size)
-    return estimate, halfwidth
+    n, mean, m2 = _moments(conditional_sep(mod, samples))
+    return mean, _halfwidth(n, m2)
+
+
+def _halfwidth(n: int, m2: float) -> float:
+    """95% normal halfwidth of a mean of ``n`` values with squared-deviation sum ``m2``."""
+    return 1.96 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
@@ -215,6 +216,5 @@ def sweep_eq_samples(scenario: LinkScenario, mods, hop2_mean_db_grid,
         estimates = []
         for k in range(len(mods)):
             n, mean, m2 = functools.reduce(_merge, (c[p][k] for c in per_chunk))
-            halfwidth = 1.96 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-            estimates.append((mean, halfwidth))
+            estimates.append((mean, _halfwidth(n, m2)))
         yield db1, db2, tuple(estimates)

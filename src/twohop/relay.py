@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .diversity import HopConfig
-from .fading import HopDistribution, LawTable
+from .fading import GammaSnr, LawTable
 from .numerics import DEFAULT_CDF_TOL, integrate_semi_infinite_batch
 
 __all__ = [
@@ -175,7 +175,7 @@ def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
     return value
 
 
-def end_to_end_cdf_grid(d1: HopDistribution, d2: HopDistribution, grid,
+def end_to_end_cdf_grid(d1: GammaSnr, d2: GammaSnr, grid,
                         combiner: Combiner = Combiner.EXACT,
                         tol: float = DEFAULT_CDF_TOL) -> np.ndarray:
     """``end_to_end_cdf`` over a strictly increasing grid, clamped monotone.

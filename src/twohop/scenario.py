@@ -50,6 +50,7 @@ __all__ = [
     "placement_hops",
     "check_db",
     "check_fading_figure",
+    "check_diversity_order",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -65,6 +66,9 @@ _CASES = (*_PLACEMENTS, "CUSTOM")
 _MODULATIONS = {"BPSK": 2, "PSK8": 8, "PSK16": 16}
 # Largest number of points a sweep or a CDF grid may ask for.
 MAX_SWEEP_POINTS = 10_000
+# Largest |dB| of a mean SNR: at 1e+-100 linear, two hop SNRs multiplied in the
+# Monte-Carlo combiner, and the quantile that sets a CDF grid, stay normal floats.
+MAX_ABS_DB = 1000.0
 _COMMON_KEYS = {
     "name", "case", "m", "hop1_m", "hop2_m", "hop1_snr_db", "hop2_sweep_db",
     "hop2_snr_db", "modulations", "combiner", "mc_seed", "mc_samples",
@@ -146,14 +150,10 @@ class Scenario:
 
 
 def check_db(db: float, field: str) -> float:
-    """``db`` unchanged if its linear value is finite and positive."""
-    try:
-        linear = db_to_linear(db)
-    except OverflowError:
-        linear = math.inf
-    if not (math.isfinite(linear) and linear > 0):
-        raise ScenarioError(f"{field} must be a dB value with a finite, positive "
-                            f"linear mean, got {db!r}", field=field)
+    """``db`` unchanged if it lies in [-MAX_ABS_DB, MAX_ABS_DB]."""
+    if not -MAX_ABS_DB <= db <= MAX_ABS_DB:
+        raise ScenarioError(f"{field} must be a dB value in [{-MAX_ABS_DB:g}, "
+                            f"{MAX_ABS_DB:g}], got {db!r}", field=field)
     return db
 
 
@@ -163,6 +163,17 @@ def check_fading_figure(m: float, field: str) -> float:
         raise ScenarioError(f"fading figure must be finite and >= 0.5, got {m}",
                             field=field)
     return m
+
+
+def check_diversity_order(hop: HopConfig, field: str) -> None:
+    """Reject a hop whose m * n_tx * n_rx, the largest shape of its laws, is not finite."""
+    try:
+        order = hop.m * hop.n_tx * hop.n_rx
+    except OverflowError:  # an antenna count beyond float range
+        order = math.inf
+    if not math.isfinite(order):
+        raise ScenarioError(f"m * n_tx * n_rx must be finite, got m = {hop.m!r} on "
+                            f"{hop.n_tx} x {hop.n_rx} antennas", field=field)
 
 
 def parse_sweep(raw: str, field: str) -> SweepSpec:
@@ -268,6 +279,8 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     else:
         n_s, n_r, n_d = (_get_int(pairs, key) for key in ("n_s", "n_r", "n_d"))
         hop1, hop2 = placement_hops(case, n_s, n_r, n_d, m1, m2)
+    for field, hop in (("hop1_m", hop1), ("hop2_m", hop2)):
+        check_diversity_order(hop, field if field in pairs else "m")
 
     hop1_snr_db = tuple(check_db(db, "hop1_snr_db")
                         for db in _get_float_list(pairs, "hop1_snr_db"))

@@ -156,7 +156,7 @@ def test_cdf_default_grid_has_fifty_points(mini_path, tmp_path):
 
 @pytest.mark.parametrize("spec", ["", "1:2", "2:1:5", "-1:4:3", "0:4:0",
                                   "a,b", "3,2,1", "0:1:10001", "0,inf",
-                                  "0:1e400:3"])
+                                  "0:1e400:3", "1:1:3"])
 def test_cdf_rejects_bad_grids(mini_path, spec):
     code, err = run_main(["cdf", "--scenario", mini_path, f"--grid={spec}",
                           "--samples", "1000"])
@@ -397,7 +397,7 @@ def test_compare_cases_work_stays_within_its_counted_budget(monkeypatch, tmp_pat
     (["compare-cases", "--n", "2", "--modulations", ","], "modulations"),
     (["compare-cases", "--n", "2", "--modulations", "PSK32"], "modulations"),
     (["compare-cases", "--n", "2", "--modulations", "BPSK,PSK4"], "modulations"),
-    (["compare-cases", "--n", "2", "--sweep", "0:2500:0.25"], "sweep"),
+    (["compare-cases", "--n", "2", "--sweep=-1000:250:0.125"], "sweep"),
 ])
 def test_compare_cases_flag_validation(argv, field):
     code, err = run_main(argv)
@@ -412,7 +412,7 @@ _MINI = {"case": "MIMO_MIMO", "n_s": "2", "n_r": "2", "n_d": "2",
 @pytest.mark.parametrize("overrides, field", [
     (dict(hop1_snr_db="nan"), "hop1_snr_db"),
     (dict(hop1_snr_db="1e9"), "hop1_snr_db"),
-    (dict(hop1_snr_db="3,-1e9"), "hop1_snr_db"),    # linear mean underflows to 0
+    (dict(hop1_snr_db="3,-1e9"), "hop1_snr_db"),    # second entry out of range
     (dict(m="inf"), "m"),
     (dict(hop1_m="inf"), "hop1_m"),
     (dict(hop2_m="nan"), "hop2_m"),
@@ -420,14 +420,33 @@ _MINI = {"case": "MIMO_MIMO", "n_s": "2", "n_r": "2", "n_d": "2",
     (dict(hop2_sweep_db="nan:4:2"), "hop2_sweep_db"),
     (dict(hop2_sweep_db="0:4:inf"), "hop2_sweep_db"),
     (dict(hop2_snr_db="inf"), "hop2_snr_db"),
+    (dict(m="1e308"), "m"),                         # m * n_tx * n_rx overflows
+    (dict(hop2_m="1e308"), "hop2_m"),
+    pytest.param(dict(n_s=str(10 ** 400)), "m", id="n_s=1e400"),
+    (dict(hop2_sweep_db="3080:3080:1"), "hop2_sweep_db"),  # n_d * mean overflows
+    (dict(hop1_snr_db="1600", hop2_sweep_db="1600:1600:1"), "hop1_snr_db"),
 ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
 def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path):
     path = tmp_path / "bad.scenario"
     path.write_text("".join(f"{k} = {v}\n" for k, v in {**_MINI, **overrides}.items()),
                     encoding="utf-8")
-    code, err = run_main(["ser-sweep", "--scenario", str(path)])
-    assert code == 2
-    assert f"(field: {field})" in err
+    for command in ("ser-sweep", "cdf", "validate"):
+        code, err = run_main([command, "--scenario", str(path)])
+        assert code == 2, command
+        assert f"(field: {field})" in err, command
+
+
+@pytest.mark.parametrize("db", ["-1000", "1000"])
+def test_extreme_db_means_run_cleanly(db, tmp_path):
+    """Both hops at either end of the dB range keep every derived value finite."""
+    path = tmp_path / "edge.scenario"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {
+        **_MINI, "hop1_snr_db": db, "hop2_sweep_db": f"{db}:{db}:1"}.items()),
+        encoding="utf-8")
+    for command in ("ser-sweep", "cdf"):
+        code, err = run_main([command, "--scenario", str(path), "--samples", "2000",
+                              "--out", str(tmp_path / f"{command}.csv")])
+        assert code == 0 and err == "", command
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -435,6 +454,8 @@ def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path):
     (["--hop1-snr-db", "1e9"], "hop1_snr_db"),
     (["--m", "inf"], "m"),
     (["--sweep", "0:1e9:1e9"], "sweep"),
+    (["--m", "1e308", "--sweep", "0:0:1"], "m"),
+    (["--sweep", "3080:3080:1"], "sweep"),
 ], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
 def test_non_finite_compare_cases_flags_exit_two(flags, field):
     code, err = run_main(["compare-cases", "--n", "2"] + flags)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twohop.fading import GammaSnr, MaxGammaSnr, from_nakagami
+from twohop.fading import GammaSnr, from_nakagami
 from twohop.numerics import integrate_finite
 
 
@@ -88,6 +88,9 @@ def test_rejects_invalid_parameters():
         GammaSnr(shape=0.0, mean=1.0)
     with pytest.raises(ValueError):
         GammaSnr(shape=1.0, mean=0.0)
+    for shape, mean in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            GammaSnr(shape=shape, mean=mean)
     with pytest.raises(ValueError):
         GammaSnr(shape=1.0, mean=1.0).cdf(-0.5)
     with pytest.raises(ValueError):
@@ -95,7 +98,9 @@ def test_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         from_nakagami(0.25, 1.0)
     with pytest.raises(ValueError):
-        MaxGammaSnr(GammaSnr(1.0, 1.0), 0)
+        GammaSnr(1.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        GammaSnr(1.0, 1.0, 1.5)
 
 
 @given(
@@ -115,13 +120,13 @@ def test_cdf_is_monotone_and_bounded(shape, mean, a, b):
 
 def test_max_cdf_is_power_of_base():
     base = GammaSnr(2.0, 4.0)
-    best = MaxGammaSnr(base, 3)
+    best = GammaSnr(2.0, 4.0, 3)
     g = np.linspace(0.0, 30.0, 25)
     assert np.allclose(best.cdf(g), np.asarray(base.cdf(g)) ** 3, atol=1e-15)
 
 
 def test_max_pdf_matches_cdf_derivative():
-    best = MaxGammaSnr(GammaSnr(1.5, 2.0), 4)
+    best = GammaSnr(1.5, 2.0, 4)
     h = 1e-6
     for g in (0.3, 1.0, 2.7, 8.0):
         slope = (best.cdf(g + h) - best.cdf(g - h)) / (2.0 * h)
@@ -129,16 +134,16 @@ def test_max_pdf_matches_cdf_derivative():
 
 
 def test_max_pdf_origin_limits():
-    assert MaxGammaSnr(GammaSnr(2.0, 1.0), 3).pdf(0.0) == 0.0
-    assert MaxGammaSnr(GammaSnr(0.3, 1.0), 2).pdf(0.0) == math.inf
+    assert GammaSnr(2.0, 1.0, 3).pdf(0.0) == 0.0
+    assert GammaSnr(0.3, 1.0, 2).pdf(0.0) == math.inf
     # candidates * shape == 1 has a finite positive limit
-    boundary = MaxGammaSnr(GammaSnr(0.5, 1.0), 2).pdf(0.0)
+    boundary = GammaSnr(0.5, 1.0, 2).pdf(0.0)
     assert 0.0 < boundary < math.inf
 
 
 def test_max_mean_and_samples():
     # the largest of three base draws per row follows the selection law
-    best = MaxGammaSnr(GammaSnr(2.0, 4.0), 3)
+    best = GammaSnr(2.0, 4.0, 3)
     rng = np.random.default_rng(9)
     draws = np.sort(rng.gamma(2.0, 2.0, size=(200_000, 3)).max(axis=1))
     steps = np.arange(1, draws.size + 1) / draws.size
@@ -149,7 +154,7 @@ def test_max_mean_and_samples():
 @pytest.mark.parametrize("shape", [0.5, 1.0, 7.5, 32.0])
 def test_max_law_is_its_base_law_raised_bit_for_bit(shape, candidates):
     base = GammaSnr(shape, 3.0)
-    best = MaxGammaSnr(base, candidates)
+    best = GammaSnr(shape, 3.0, candidates)
     g = np.geomspace(1e-6, 1e3, 60)
     big_f, small_f = base.cdf(g), base.pdf(g)
     assert best.cdf(g).tolist() == (big_f ** candidates).tolist()
@@ -159,7 +164,7 @@ def test_max_law_is_its_base_law_raised_bit_for_bit(shape, candidates):
 
 def test_nan_snr_has_nan_density_and_cdf():
     for law in (GammaSnr(0.3, 1.0), GammaSnr(1.0, 1.0), GammaSnr(2.0, 1.0),
-                MaxGammaSnr(GammaSnr(0.3, 1.0), 2), MaxGammaSnr(GammaSnr(2.0, 1.0), 3)):
+                GammaSnr(0.3, 1.0, 2), GammaSnr(2.0, 1.0, 3)):
         assert math.isnan(law.pdf(math.nan)) and math.isnan(law.cdf(math.nan))
         density = law.pdf(np.array([0.0, math.nan, 1.0]))
         assert np.isnan(density[1]) and not np.isnan(density[[0, 2]]).any()
@@ -167,7 +172,7 @@ def test_nan_snr_has_nan_density_and_cdf():
 
 def test_max_of_one_is_base_law():
     base = GammaSnr(1.0, 3.0)
-    trivial = MaxGammaSnr(base, 1)
+    trivial = GammaSnr(1.0, 3.0, candidates=1)
     g = np.linspace(0.0, 20.0, 15)
     assert np.allclose(trivial.cdf(g), base.cdf(g), atol=1e-15)
     assert np.allclose(trivial.pdf(g), base.pdf(g), atol=1e-15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twohop.diversity import CombiningScheme, HopConfig
-from twohop.fading import GammaSnr, MaxGammaSnr
+from twohop.fading import GammaSnr
 from twohop.relay import (
     Combiner,
     ConvergenceError,
@@ -77,7 +77,7 @@ def test_cdf_at_zero_and_domain_checks():
 
 def test_cdf_is_symmetric_in_the_hops():
     d1 = GammaSnr(shape=4.0, mean=3.0)
-    d2 = MaxGammaSnr(GammaSnr(2.0, 5.0), 3)
+    d2 = GammaSnr(2.0, 5.0, 3)
     for g in (0.4, 1.3, 4.0):
         forward = end_to_end_cdf(d1, d2, g)
         backward = end_to_end_cdf(d2, d1, g)
@@ -138,8 +138,8 @@ def test_unreachable_tolerance_returns_nan():
 
 BATCH_LAWS = [
     (RAYLEIGH_10, RAYLEIGH_10),
-    (GammaSnr(shape=4.0, mean=3.0), MaxGammaSnr(GammaSnr(2.0, 5.0), 3)),
-    (MaxGammaSnr(GammaSnr(0.5, 2.0), 2), GammaSnr(shape=9.0, mean=3.0e6)),
+    (GammaSnr(shape=4.0, mean=3.0), GammaSnr(2.0, 5.0, 3)),
+    (GammaSnr(0.5, 2.0, 2), GammaSnr(shape=9.0, mean=3.0e6)),
 ]
 BATCH_POINTS = np.array([1e-6, 0.05, 0.4, 1.0, 1.3, 4.0, 25.0, 300.0])
 
@@ -187,11 +187,11 @@ def test_several_links_match_one_link_calls_bit_for_bit(combiner):
 # them as a mixed hop-1 table in reverse order.
 TABLE_LAWS = [
     GammaSnr(0.5, 2.0),
-    MaxGammaSnr(GammaSnr(0.5, 3.0), 3),
+    GammaSnr(0.5, 3.0, 3),
     GammaSnr(1.0, 10.0),
-    MaxGammaSnr(GammaSnr(7.5, 0.8), 2),
+    GammaSnr(7.5, 0.8, 2),
     GammaSnr(32.0, 40.0),
-    MaxGammaSnr(GammaSnr(32.0, 5.0), 4),
+    GammaSnr(32.0, 5.0, 4),
 ]
 
 
@@ -243,10 +243,9 @@ def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls in (GammaSnr, MaxGammaSnr):
-        for method in ("cdf", "pdf"):
-            monkeypatch.setattr(cls, method,
-                                counting(f"{cls.__name__}.{method}", getattr(cls, method)))
+    for method in ("cdf", "pdf"):
+        monkeypatch.setattr(GammaSnr, method,
+                            counting(f"GammaSnr.{method}", getattr(GammaSnr, method)))
     monkeypatch.setattr(numerics_module, "regularized_lower_gamma",
                         counting("gammainc", numerics_module.regularized_lower_gamma))
     real_batch = relay_module.integrate_semi_infinite_batch
@@ -260,7 +259,7 @@ def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
         return real_batch(integrand, *args, **kwargs)
 
     monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", counting_batch)
-    d1 = MaxGammaSnr(GammaSnr(1.5, 4.0), 2)
+    d1 = GammaSnr(1.5, 4.0, 2)
     counted = []
     for laws, tol in ((TABLE_LAWS[:1], 1e-4), (TABLE_LAWS, 1e-4), (TABLE_LAWS, 1e-10)):
         gamma = np.geomspace(0.01, 20.0, 3 * len(laws))

@@ -118,8 +118,8 @@ def test_sweep_values_hit_start_and_step():
 
 def test_sweep_point_cap():
     # 10,000 points pass; one more, or a step that gives millions, exits 2
-    assert parse_sweep("0:2499.75:0.25", "f").values().size == 10_000
-    for raw in ("0:2500:0.25", "0:20:1e-6", "0:20:5e-324"):
+    assert parse_sweep("-1000:249.875:0.125", "f").values().size == 10_000
+    for raw in ("-1000:250:0.125", "0:20:1e-6", "0:20:5e-324"):
         with pytest.raises(ScenarioError, match="more than 10000") as info:
             parse_sweep(raw, "f")
         assert info.value.field == "f"

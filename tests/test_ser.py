@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
-from twohop.fading import GammaSnr, MaxGammaSnr
+from twohop.fading import GammaSnr
 from twohop.montecarlo import McRun, mc_ser, simulate_end_to_end
 from twohop.numerics import gaussian_q
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
@@ -95,7 +95,7 @@ def test_rayleigh_bpsk_closed_form():
 def test_cdf_form_equals_direct_form():
     # integration-by-parts identity between the two SER integrals
     surrogates = [GammaSnr(1.0, 2.0), GammaSnr(3.5, 0.4),
-                  MaxGammaSnr(GammaSnr(2.0, 5.0), 3)]
+                  GammaSnr(2.0, 5.0, 3)]
     for dist in surrogates:
         mods = (BPSK, PSK16)
         for mod, via_cdf in zip(mods, ser_from_cdf(mods, any_owner(dist.cdf))):
@@ -285,7 +285,7 @@ def test_tas_harmonic_psk8_cell_agrees_with_monte_carlo():
 def test_sweep_equals_stacked_single_point_sweeps(combiner):
     link = LinkScenario(HopConfig(2, 2, 1.5, 1.0, CombiningScheme.STBC_MRC),
                         HopConfig(2, 3, 0.5, 1.0, CombiningScheme.TAS_MRC), combiner)
-    assert isinstance(effective_distribution(link.hop2), MaxGammaSnr)
+    assert effective_distribution(link.hop2).candidates > 1
     grid = [0.0, 6.0, 12.0, 18.0]
     mods = (BPSK, PSK16)
     swept = ser_sweep(links_at(link, 3.0, grid), mods)
