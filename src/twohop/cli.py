@@ -25,9 +25,9 @@ from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
-from .scenario import (MAX_SWEEP_POINTS, Scenario, ScenarioError, check_db,
-                       check_diversity_order, check_fading_figure, db_to_linear,
-                       load_scenario, parse_modulations, parse_sweep, placement_hops)
+from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_SWEEP_POINTS,
+                       Scenario, ScenarioError, check_range, link_at, load_scenario,
+                       parse_modulations, parse_sweep, placement_hops)
 from .ser import ser_sweep
 
 DEFAULT_SEED = 1729
@@ -415,22 +415,17 @@ def _ordering(values: list[float], labels: list[str], tol: float) -> str:
 
 
 def cmd_compare_cases(args) -> int:
-    if args.n < 1:
-        raise ScenarioError(f"--n must be >= 1, got {args.n}", field="n")
-    check_fading_figure(args.m, "m")
-    check_db(args.hop1_snr_db, "hop1_snr_db")
+    check_range(args.n, 1, MAX_ANTENNAS, "n")
+    check_range(args.m, 0.5, MAX_FADING_FIGURE, "m")
+    check_range(args.hop1_snr_db, -MAX_ABS_DB, MAX_ABS_DB, "hop1_snr_db")
     tol = _outer_tol(args, DEFAULT_SER_TOL)
     combiner = Combiner(args.combiner) if args.combiner else Combiner.EXACT
     grid = parse_sweep(args.sweep, "sweep").values()
     mods = parse_modulations(args.modulations, "modulations")
 
     placements = _case_links(args.n, args.m, combiner)
-    for hop in (h for _, link in placements for h in (link.hop1, link.hop2)):
-        check_diversity_order(hop, "m")
     cases = [label for label, _ in placements]
-    hop1_mean = db_to_linear(args.hop1_snr_db)
-    links = [replace(link, hop1=replace(link.hop1, mean_branch_snr=hop1_mean),
-                     hop2=replace(link.hop2, mean_branch_snr=db_to_linear(db)))
+    links = [link_at(link, args.hop1_snr_db, db)
              for _, link in placements for db in grid.tolist()]
     # ser[i, c, j]: modulation i, case c, sweep point j
     ser = ser_sweep(links, mods, tol).reshape(len(mods), len(cases), grid.size)

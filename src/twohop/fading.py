@@ -139,8 +139,9 @@ class GammaSnr:
         """Density at ``snr`` (scalar or ndarray)."""
         values, scalar = _as_array(snr)
         out = values.copy()  # a NaN snr keeps its NaN density
-        pos = values > 0
+        pos = (values > 0) & (values < math.inf)
         out[pos] = LawTable((self,)).pdf(values[pos], 0)
+        out[values == math.inf] = 0.0
         origin = values == 0
         if origin.any():
             out[origin] = _origin_density(self)

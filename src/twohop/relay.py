@@ -95,13 +95,14 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
-    has its shape).  ``d1`` and ``d2`` are the hop laws, or, when ``law``
-    is given, two sequences of hop laws of one length, and ``law`` an
-    integer array of ``snr``'s shape: element j lies on the link
-    ``(d1[law[j]], d2[law[j]])``.  All elements run as one batch of inner
-    quadratures, and each value is bit-identical to a call with that
-    element (and its link) alone.  An element whose quadrature does not
-    converge is NaN; the others are unaffected.
+    has its shape); snr = 0 gives 0 and snr = +inf gives 1.  ``d1`` and
+    ``d2`` are the hop laws, or, when ``law`` is given, two sequences of
+    hop laws of one length, and ``law`` an integer array of ``snr``'s
+    shape: element j lies on the link ``(d1[law[j]], d2[law[j]])``.  All
+    elements run as one batch of inner quadratures, and each value is
+    bit-identical to a call with that element (and its link) alone.  An
+    element whose quadrature does not converge is NaN; the others are
+    unaffected.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -119,8 +120,9 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
             raise ValueError("law must be integers indexing d1 and d2, one per snr element")
         which = which.reshape(-1).astype(np.intp)
     flat = gamma.reshape(-1)
-    out = np.zeros(flat.size)
-    pos = np.flatnonzero(flat > 0.0)
+    # F_eq is 0 at gamma = 0 and 1 at gamma = +inf; only the rest need a quadrature.
+    out = np.where(flat == np.inf, 1.0, 0.0)
+    pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     if pos.size:
         out[pos] = _positive_cdf(d1s, d2s, which[pos], flat[pos], combiner, tol)
     if gamma.ndim == 0:

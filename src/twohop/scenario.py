@@ -48,9 +48,8 @@ __all__ = [
     "parse_sweep",
     "parse_modulations",
     "placement_hops",
-    "check_db",
-    "check_fading_figure",
-    "check_diversity_order",
+    "link_at",
+    "check_range",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -66,9 +65,15 @@ _CASES = (*_PLACEMENTS, "CUSTOM")
 _MODULATIONS = {"BPSK": 2, "PSK8": 8, "PSK16": 16}
 # Largest number of points a sweep or a CDF grid may ask for.
 MAX_SWEEP_POINTS = 10_000
-# Largest |dB| of a mean SNR: at 1e+-100 linear, two hop SNRs multiplied in the
-# Monte-Carlo combiner, and the quantile that sets a CDF grid, stay normal floats.
+# Bounds of every user-set number that sizes a hop law.  With a branch mean
+# of at most 1e+-100 (MAX_ABS_DB), at most MAX_ANTENNAS antennas a node and
+# m at most MAX_FADING_FIGURE, the hop shape (<= 409,600), the hop mean
+# (<= 6.4e101), the product of two hop SNRs in the Monte-Carlo combiner and
+# the quantile that sets a CDF grid stay normal floats, and a TAS draw block
+# holds at most 64 doubles per sample.
 MAX_ABS_DB = 1000.0
+MAX_ANTENNAS = 64
+MAX_FADING_FIGURE = 100.0
 _COMMON_KEYS = {
     "name", "case", "m", "hop1_m", "hop2_m", "hop1_snr_db", "hop2_sweep_db",
     "hop2_snr_db", "modulations", "combiner", "mc_seed", "mc_samples",
@@ -143,41 +148,25 @@ class Scenario:
 
     def link_at(self, hop1_db: float, hop2_db: float) -> LinkScenario:
         """Link with both hop means set (dB converted to linear here)."""
-        return LinkScenario(
-            replace(self.hop1_template, mean_branch_snr=db_to_linear(hop1_db)),
-            replace(self.hop2_template, mean_branch_snr=db_to_linear(hop2_db)),
-            self.combiner)
+        return link_at(self.link(), hop1_db, hop2_db)
 
 
-def check_db(db: float, field: str) -> float:
-    """``db`` unchanged if it lies in [-MAX_ABS_DB, MAX_ABS_DB]."""
-    if not -MAX_ABS_DB <= db <= MAX_ABS_DB:
-        raise ScenarioError(f"{field} must be a dB value in [{-MAX_ABS_DB:g}, "
-                            f"{MAX_ABS_DB:g}], got {db!r}", field=field)
-    return db
+def link_at(link: LinkScenario, hop1_db: float, hop2_db: float) -> LinkScenario:
+    """``link`` with both hop means set (dB converted to linear here)."""
+    return replace(link, hop1=replace(link.hop1, mean_branch_snr=db_to_linear(hop1_db)),
+                   hop2=replace(link.hop2, mean_branch_snr=db_to_linear(hop2_db)))
 
 
-def check_fading_figure(m: float, field: str) -> float:
-    """``m`` unchanged if it is finite and >= 0.5."""
-    if not (math.isfinite(m) and m >= 0.5):
-        raise ScenarioError(f"fading figure must be finite and >= 0.5, got {m}",
+def check_range(value, lo, hi, field: str):
+    """``value`` unchanged if it lies in [lo, hi] (NaN lies in no range)."""
+    if not lo <= value <= hi:
+        raise ScenarioError(f"{field} must lie in [{lo:g}, {hi:g}], got {value!r}",
                             field=field)
-    return m
-
-
-def check_diversity_order(hop: HopConfig, field: str) -> None:
-    """Reject a hop whose m * n_tx * n_rx, the largest shape of its laws, is not finite."""
-    try:
-        order = hop.m * hop.n_tx * hop.n_rx
-    except OverflowError:  # an antenna count beyond float range
-        order = math.inf
-    if not math.isfinite(order):
-        raise ScenarioError(f"m * n_tx * n_rx must be finite, got m = {hop.m!r} on "
-                            f"{hop.n_tx} x {hop.n_rx} antennas", field=field)
+    return value
 
 
 def parse_sweep(raw: str, field: str) -> SweepSpec:
-    """``start:stop:step`` in dB; both ends must pass ``check_db``.
+    """``start:stop:step`` in dB; both ends in [-MAX_ABS_DB, MAX_ABS_DB].
 
     At most ``MAX_SWEEP_POINTS`` points.
     """
@@ -193,8 +182,8 @@ def parse_sweep(raw: str, field: str) -> SweepSpec:
     if not (math.isfinite(step) and step > 0):
         raise ScenarioError(f"{field} step must be positive and finite, got {step}",
                             field=field)
-    check_db(start, field)
-    check_db(stop, field)
+    check_range(start, -MAX_ABS_DB, MAX_ABS_DB, field)
+    check_range(stop, -MAX_ABS_DB, MAX_ABS_DB, field)
     if stop < start:
         raise ScenarioError(f"{field} stop must be >= start, got {raw!r}", field=field)
     spec = SweepSpec(start_db=start, stop_db=stop, step_db=step)
@@ -267,7 +256,7 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     m1 = _get_float(pairs, "hop1_m", default=m_shared)
     m2 = _get_float(pairs, "hop2_m", default=m_shared)
     for field, m in (("hop1_m", m1), ("hop2_m", m2)):
-        check_fading_figure(m, field if field in pairs else "m")
+        check_range(m, 0.5, MAX_FADING_FIGURE, field if field in pairs else "m")
 
     if case == "CUSTOM":
         hop1 = _custom_hop(pairs, "hop1", m1)
@@ -277,20 +266,19 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
                 f"hop1_n_rx = {hop1.n_rx} must equal hop2_n_tx = {hop2.n_tx} "
                 "(both are the relay's antenna count)", field="hop2_n_tx")
     else:
-        n_s, n_r, n_d = (_get_int(pairs, key) for key in ("n_s", "n_r", "n_d"))
+        n_s, n_r, n_d = (_get_int(pairs, key, hi=MAX_ANTENNAS)
+                         for key in ("n_s", "n_r", "n_d"))
         hop1, hop2 = placement_hops(case, n_s, n_r, n_d, m1, m2)
-    for field, hop in (("hop1_m", hop1), ("hop2_m", hop2)):
-        check_diversity_order(hop, field if field in pairs else "m")
 
-    hop1_snr_db = tuple(check_db(db, "hop1_snr_db")
+    hop1_snr_db = tuple(check_range(db, -MAX_ABS_DB, MAX_ABS_DB, "hop1_snr_db")
                         for db in _get_float_list(pairs, "hop1_snr_db"))
     sweep = parse_sweep(_required(pairs, "hop2_sweep_db"), "hop2_sweep_db")
-    hop2_snr_db = check_db(_get_float(pairs, "hop2_snr_db",
-                                      default=0.5 * (sweep.start_db + sweep.stop_db)),
-                           "hop2_snr_db")
+    hop2_snr_db = check_range(_get_float(pairs, "hop2_snr_db",
+                                         default=0.5 * (sweep.start_db + sweep.stop_db)),
+                              -MAX_ABS_DB, MAX_ABS_DB, "hop2_snr_db")
     modulations = parse_modulations(_required(pairs, "modulations"), "modulations")
     combiner = _get_combiner(pairs)
-    mc_seed = _get_int(pairs, "mc_seed", minimum=0, optional=True)
+    mc_seed = _get_int(pairs, "mc_seed", lo=0, optional=True)
     mc_samples = _get_int(pairs, "mc_samples", optional=True)
 
     return Scenario(
@@ -317,8 +305,8 @@ def _custom_hop(pairs: dict[str, str], prefix: str, m: float) -> HopConfig:
         names = ", ".join(s.name for s in CombiningScheme)
         raise ScenarioError(f"{scheme_key} must be one of {names}, got {raw!r}",
                             field=scheme_key) from None
-    n_tx = _get_int(pairs, f"{prefix}_n_tx")
-    n_rx = _get_int(pairs, f"{prefix}_n_rx")
+    n_tx = _get_int(pairs, f"{prefix}_n_tx", hi=MAX_ANTENNAS)
+    n_rx = _get_int(pairs, f"{prefix}_n_rx", hi=MAX_ANTENNAS)
     try:
         return HopConfig(n_tx, n_rx, m, 1.0, scheme)
     except ValueError as exc:
@@ -341,7 +329,8 @@ def _get_float(pairs, key, default: float) -> float:
         raise ScenarioError(f"{key} must be a number, got {raw!r}", field=key) from None
 
 
-def _get_int(pairs, key, minimum: int = 1, optional: bool = False) -> int | None:
+def _get_int(pairs, key, lo: int = 1, hi: float = math.inf,
+             optional: bool = False) -> int | None:
     if optional and key not in pairs:
         return None
     raw = _required(pairs, key)
@@ -349,9 +338,7 @@ def _get_int(pairs, key, minimum: int = 1, optional: bool = False) -> int | None
         value = int(raw)
     except ValueError:
         raise ScenarioError(f"{key} must be an integer, got {raw!r}", field=key) from None
-    if value < minimum:
-        raise ScenarioError(f"{key} must be >= {minimum}, got {value}", field=key)
-    return value
+    return check_range(value, lo, hi, key)
 
 
 def _get_float_list(pairs, key) -> tuple[float, ...]:

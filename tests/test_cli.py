@@ -6,6 +6,7 @@ paths redirect stderr explicitly.
 """
 
 import io
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ import pytest
 from twohop import cli
 from twohop.cli import _fmt_prob, main
 from twohop.relay import Combiner
-from twohop.scenario import load_scenario
+from twohop.scenario import MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +408,18 @@ def test_compare_cases_flag_validation(argv, field):
 
 _MINI = {"case": "MIMO_MIMO", "n_s": "2", "n_r": "2", "n_d": "2",
          "hop1_snr_db": "3", "hop2_sweep_db": "0:4:2", "modulations": "BPSK"}
+# TAS_MRC on both hops at the largest antenna counts (overrides of _MINI)
+_TAS_64 = {"case": "CUSTOM", "n_s": None, "n_r": None, "n_d": None,
+           "hop1_scheme": "TAS_MRC", "hop1_n_tx": "64", "hop1_n_rx": "64",
+           "hop2_scheme": "TAS_MRC", "hop2_n_tx": "64", "hop2_n_rx": "64"}
+
+
+def _mini_scenario(path, overrides):
+    """Write _MINI with ``overrides`` applied (a None value drops the key)."""
+    pairs = {**_MINI, **overrides}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items() if v is not None),
+                    encoding="utf-8")
+    return str(path)
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -420,18 +433,25 @@ _MINI = {"case": "MIMO_MIMO", "n_s": "2", "n_r": "2", "n_d": "2",
     (dict(hop2_sweep_db="nan:4:2"), "hop2_sweep_db"),
     (dict(hop2_sweep_db="0:4:inf"), "hop2_sweep_db"),
     (dict(hop2_snr_db="inf"), "hop2_snr_db"),
-    (dict(m="1e308"), "m"),                         # m * n_tx * n_rx overflows
+    (dict(m="1e308"), "m"),                         # above MAX_FADING_FIGURE
     (dict(hop2_m="1e308"), "hop2_m"),
-    pytest.param(dict(n_s=str(10 ** 400)), "m", id="n_s=1e400"),
-    (dict(hop2_sweep_db="3080:3080:1"), "hop2_sweep_db"),  # n_d * mean overflows
+    pytest.param(dict(n_s=str(10 ** 400)), "n_s", id="n_s=1e400"),
+    (dict(hop2_sweep_db="3080:3080:1"), "hop2_sweep_db"),  # above MAX_ABS_DB
     (dict(hop1_snr_db="1600", hop2_sweep_db="1600:1600:1"), "hop1_snr_db"),
+    # Antenna counts whose hop mean (n_d * 1e100) or Monte-Carlo product
+    # g1 * g2 (about 1e320) would overflow at 1000 dB
+    pytest.param(dict(n_d=str(10 ** 250), hop1_snr_db="1000", hop2_sweep_db="1000:1000:1"),
+                 "n_d", id="n_d=1e250@1000dB"),
+    pytest.param(dict(n_s=str(10 ** 60), n_r=str(10 ** 60), n_d=str(10 ** 60),
+                      hop1_snr_db="1000", hop2_sweep_db="1000:1000:1"),
+                 "n_s", id="n_s=n_r=n_d=1e60@1000dB"),
+    pytest.param(dict(_TAS_64, hop1_n_tx=str(MAX_ANTENNAS + 1), mc_seed="1",
+                      mc_samples="2000"), "hop1_n_tx", id="tas-hop1_n_tx=max+1"),
 ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
 def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path):
-    path = tmp_path / "bad.scenario"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in {**_MINI, **overrides}.items()),
-                    encoding="utf-8")
+    path = _mini_scenario(tmp_path / "bad.scenario", overrides)
     for command in ("ser-sweep", "cdf", "validate"):
-        code, err = run_main([command, "--scenario", str(path)])
+        code, err = run_main([command, "--scenario", path])
         assert code == 2, command
         assert f"(field: {field})" in err, command
 
@@ -449,6 +469,32 @@ def test_extreme_db_means_run_cleanly(db, tmp_path):
         assert code == 0 and err == "", command
 
 
+@pytest.mark.parametrize("db", ["-1000", "1000"])
+@pytest.mark.parametrize("corner", [
+    dict(n_s="64", n_r="64", n_d="64", m="0.5"),
+    dict(n_s="64", n_r="64", n_d="64", m="100"),
+    _TAS_64,
+], ids=["mimo64-m0.5", "mimo64-m100", "tas64"])
+def test_largest_antenna_counts_and_fading_figures_run_cleanly(corner, db, tmp_path):
+    """At the ends of the antenna, m and dB ranges every derived value stays finite."""
+    path = _mini_scenario(tmp_path / "corner.scenario",
+                          {**corner, "hop1_snr_db": db, "hop2_sweep_db": f"{db}:{db}:1"})
+    for command in ("ser-sweep", "cdf"):
+        code, err = run_main([command, "--scenario", path, "--samples", "2000",
+                              "--out", str(tmp_path / f"{command}.csv")])
+        assert code == 0 and err == "", command
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "1", "--m", "0.5", "--hop1-snr-db", "-1000", "--sweep=-1000:-1000:1"],
+    ["--n", str(MAX_ANTENNAS), "--m", str(MAX_FADING_FIGURE), "--hop1-snr-db", "1000",
+     "--sweep", "1000:1000:1"],
+], ids=["lower", "upper"])
+def test_compare_cases_accepts_the_ends_of_each_range(flags, tmp_path):
+    code, err = run_main(["compare-cases", *flags, "--out", str(tmp_path / "cmp.csv")])
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--hop1-snr-db", "nan"], "hop1_snr_db"),
     (["--hop1-snr-db", "1e9"], "hop1_snr_db"),
@@ -456,6 +502,14 @@ def test_extreme_db_means_run_cleanly(db, tmp_path):
     (["--sweep", "0:1e9:1e9"], "sweep"),
     (["--m", "1e308", "--sweep", "0:0:1"], "m"),
     (["--sweep", "3080:3080:1"], "sweep"),
+    # the values just outside each range; a repeated --n replaces the first
+    (["--n", str(MAX_ANTENNAS + 1)], "n"),
+    (["--m", repr(math.nextafter(0.5, 0.0))], "m"),
+    (["--m", repr(math.nextafter(MAX_FADING_FIGURE, math.inf))], "m"),
+    (["--hop1-snr-db", repr(math.nextafter(-MAX_ABS_DB, -math.inf))], "hop1_snr_db"),
+    (["--hop1-snr-db", repr(math.nextafter(MAX_ABS_DB, math.inf))], "hop1_snr_db"),
+    ([f"--sweep={math.nextafter(-MAX_ABS_DB, -math.inf)!r}:0:1"], "sweep"),
+    ([f"--sweep=0:{math.nextafter(MAX_ABS_DB, math.inf)!r}:1"], "sweep"),
 ], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
 def test_non_finite_compare_cases_flags_exit_two(flags, field):
     code, err = run_main(["compare-cases", "--n", "2"] + flags)

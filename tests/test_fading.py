@@ -170,6 +170,16 @@ def test_nan_snr_has_nan_density_and_cdf():
         assert np.isnan(density[1]) and not np.isnan(density[[0, 2]]).any()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("candidates", [1, 2])
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+def test_infinite_snr_has_zero_density_and_unit_cdf(shape, candidates):
+    law = GammaSnr(shape, 3.0, candidates)
+    assert law.pdf(math.inf) == 0.0 and law.cdf(math.inf) == 1.0
+    density = law.pdf(np.array([1.0, math.inf]))
+    assert density[0] == law.pdf(1.0) and density[1] == 0.0
+
+
 def test_max_of_one_is_base_law():
     base = GammaSnr(1.0, 3.0)
     trivial = GammaSnr(1.0, 3.0, candidates=1)

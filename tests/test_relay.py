@@ -285,6 +285,16 @@ def test_array_call_shapes_and_zero():
     assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.zeros(3)).tolist() == [0.0] * 3
 
 
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_cdf_at_infinity_is_one(combiner):
+    hop2 = GammaSnr(2.0, 5.0, 3)
+    assert end_to_end_cdf(RAYLEIGH_10, hop2, math.inf, combiner) == 1.0
+    values = end_to_end_cdf(RAYLEIGH_10, hop2, np.array([0.0, 1.0, math.inf]), combiner)
+    assert values.tolist() == [0.0, end_to_end_cdf(RAYLEIGH_10, hop2, 1.0, combiner), 1.0]
+    grid = end_to_end_cdf_grid(RAYLEIGH_10, hop2, [0.0, 1.0, math.inf], combiner)
+    assert grid.tolist() == values.tolist()
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
 def test_array_call_rejects_negative_or_nan_elements(bad):
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Scenario file parsing: golden inputs, defaults, and field-level errors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 from twohop.diversity import CombiningScheme
 from twohop.relay import Combiner
 from twohop.scenario import (
+    MAX_ABS_DB,
+    MAX_ANTENNAS,
+    MAX_FADING_FIGURE,
     Scenario,
     ScenarioError,
     SweepSpec,
@@ -157,6 +162,42 @@ def test_invalid_inputs_name_the_field(overrides, field):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(render(**overrides))
     assert info.value.field == field
+
+
+_CUSTOM_STBC_MRC = dict(case="CUSTOM", n_s=None, n_r=None, n_d=None,
+                        hop1_scheme="STBC_MRC", hop1_n_tx="2", hop1_n_rx="2",
+                        hop2_scheme="STBC_MRC", hop2_n_tx="2", hop2_n_rx="2")
+
+
+@pytest.mark.parametrize("base, keys, lo, hi", [
+    ({}, ("n_s",), 1, MAX_ANTENNAS),
+    ({}, ("n_r",), 1, MAX_ANTENNAS),
+    ({}, ("n_d",), 1, MAX_ANTENNAS),
+    (_CUSTOM_STBC_MRC, ("hop1_n_tx",), 1, MAX_ANTENNAS),
+    (_CUSTOM_STBC_MRC, ("hop1_n_rx", "hop2_n_tx"), 1, MAX_ANTENNAS),  # the relay's count
+    (_CUSTOM_STBC_MRC, ("hop2_n_rx",), 1, MAX_ANTENNAS),
+    ({}, ("m",), 0.5, MAX_FADING_FIGURE),
+    ({}, ("hop1_m",), 0.5, MAX_FADING_FIGURE),
+    ({}, ("hop2_m",), 0.5, MAX_FADING_FIGURE),
+    ({}, ("hop1_snr_db",), -MAX_ABS_DB, MAX_ABS_DB),
+    ({}, ("hop2_snr_db",), -MAX_ABS_DB, MAX_ABS_DB),
+    ({}, ("hop2_sweep_db",), -MAX_ABS_DB, MAX_ABS_DB),
+], ids=lambda v: "/".join(v) if isinstance(v, tuple) else None)
+def test_range_ends_pass_and_the_values_just_outside_fail(base, keys, lo, hi):
+    def parse(value):
+        raw = f"{value!r}:{value!r}:1" if keys == ("hop2_sweep_db",) else repr(value)
+        return parse_scenario(render(**{**base, **dict.fromkeys(keys, raw)}))
+
+    for end in (lo, hi):
+        parse(end)
+    if isinstance(lo, int):
+        outside = (lo - 1, hi + 1)
+    else:
+        outside = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+    for value in outside:
+        with pytest.raises(ScenarioError) as info:
+            parse(value)
+        assert info.value.field == keys[0]
 
 
 @pytest.mark.parametrize("overrides, field", [
