@@ -25,9 +25,9 @@ from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, ConvergenceError, LinkScenario, end_to_end_cdf_grid
-from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_SWEEP_POINTS,
-                       Scenario, ScenarioError, check_range, link_at, load_scenario,
-                       parse_modulations, parse_sweep, placement_hops)
+from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
+                       MAX_SWEEP_POINTS, Scenario, ScenarioError, check_range, link_at,
+                       load_scenario, parse_modulations, parse_sweep, placement_hops)
 from .ser import ser_sweep
 
 DEFAULT_SEED = 1729
@@ -136,14 +136,9 @@ def _mc_settings(args, fallback_seed: int | None,
     """Checked Monte-Carlo seed and sample count; --seed and --samples win."""
     seed = next(v for v in (args.seed, fallback_seed, DEFAULT_SEED) if v is not None)
     samples = args.samples if args.samples is not None else fallback_samples
-    if seed < 0:
-        raise ScenarioError(f"--seed must be nonnegative, got {seed}", field="seed")
-    if samples < 1:
-        raise ScenarioError(f"--samples must be >= 1, got {samples}", field="samples")
-    if args.threads < 1:
-        raise ScenarioError(f"--threads must be >= 1, got {args.threads}",
-                            field="threads")
-    return seed, samples
+    check_range(args.threads, 1, math.inf, "threads")
+    return (check_range(seed, 0, math.inf, "seed"),
+            check_range(samples, 1, MAX_MC_SAMPLES, "samples"))
 
 
 def _fmt_prob(x: float, full: bool = False) -> str:
@@ -187,6 +182,16 @@ def _write(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finish(lines: list[str], out: str | None, failed: list[str]) -> int:
+    """Write the table; exit 3 naming each ``failed`` point, if there are any."""
+    _write(lines, out)
+    if failed:
+        print(f"twohop: quadrature did not converge at: {'; '.join(failed)}",
+              file=sys.stderr)
+        return 3
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # ser-sweep
 
@@ -197,18 +202,16 @@ def cmd_ser_sweep(args) -> int:
                  (args.seed, args.samples, scenario.mc_seed, scenario.mc_samples))
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_SWEEP_MC_SAMPLES)
-    grid = scenario.sweep.values()
     mods = scenario.modulations
 
-    # Link k * grid.size + j is at hop1_snr_db[k], grid[j]; on it, mods[i] has
-    # the (estimate, halfwidth) mc[link][i] and the SER ser[i, link].
-    mc = []
-    if use_mc:
-        run = McRun(seed, samples, args.threads)
-        mc = [est for _, _, est in
-              sweep_eq_samples(scenario.link(), mods, grid, scenario.hop1_snr_db, run)]
-    ser = ser_sweep([scenario.link_at(hop1_db, db) for hop1_db in scenario.hop1_snr_db
-                     for db in grid.tolist()], mods, tol)
+    # Link p is at the dB means points[p]; on it, mods[i] has the SER
+    # ser[i, p] and the (estimate, halfwidth) mc[p][i].
+    points = [(hop1_db, db) for hop1_db in scenario.hop1_snr_db
+              for db in scenario.sweep.values().tolist()]
+    links = [scenario.link_at(*point) for point in points]
+    run = McRun(seed, samples, args.threads)
+    mc = list(sweep_eq_samples(links, mods, run)) if use_mc else []
+    ser = ser_sweep(links, mods, tol)
 
     lines = _meta("ser-sweep", scenario, tol,
                   seed if use_mc else None, samples if use_mc else None)
@@ -219,27 +222,18 @@ def cmd_ser_sweep(args) -> int:
 
     failed = []
     for i, mod in enumerate(mods):
-        for k, hop1_db in enumerate(scenario.hop1_snr_db):
-            for j, db in enumerate(grid.tolist()):
-                value = float(ser[i, k * grid.size + j])
-                row = [scenario.case, mod.label, str(scenario.n_s),
-                       str(scenario.n_r), str(scenario.n_d), _fmt_m(scenario),
-                       _fmt_num(hop1_db), _fmt_num(db),
-                       _fmt_prob(value, args.full_precision)]
-                if use_mc:
-                    row.extend(_fmt_prob(x, args.full_precision)
-                               for x in mc[k * grid.size + j][i])
-                lines.append(",".join(row))
-                if math.isnan(value):
-                    failed.append((mod.label, hop1_db, db))
-
-    _write(lines, args.out)
-    if failed:
-        detail = "; ".join(f"{label} hop1={h1:g} dB hop2={h2:g} dB"
-                           for label, h1, h2 in failed)
-        print(f"twohop: quadrature did not converge at: {detail}", file=sys.stderr)
-        return 3
-    return 0
+        for p, (hop1_db, db) in enumerate(points):
+            value = float(ser[i, p])
+            row = [scenario.case, mod.label, str(scenario.n_s),
+                   str(scenario.n_r), str(scenario.n_d), _fmt_m(scenario),
+                   _fmt_num(hop1_db), _fmt_num(db),
+                   _fmt_prob(value, args.full_precision)]
+            if use_mc:
+                row.extend(_fmt_prob(x, args.full_precision) for x in mc[p][i])
+            lines.append(",".join(row))
+            if math.isnan(value):
+                failed.append(f"{mod.label} hop1={hop1_db:g} dB hop2={db:g} dB")
+    return _finish(lines, args.out, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +332,12 @@ def cmd_validate(args) -> int:
 
     rows: list[tuple[str, str, str, bool]] = []
 
-    ks1 = _ks_distance(simulate_hop(link.hop1, McRun(seed, n_ks, args.threads),
-                                    stream=1), d1.cdf)
     limit = _scaled(KS_THRESHOLD, n_ks, VALIDATE_KS_SAMPLES)
-    rows.append((f"hop1 law KS distance (n={n_ks})",
-                 f"{ks1:.6f}", f"{limit:.6f}", ks1 <= limit))
-
-    ks2 = _ks_distance(simulate_hop(link.hop2, McRun(seed, n_ks, args.threads),
-                                    stream=2), d2.cdf)
-    rows.append((f"hop2 law KS distance (n={n_ks})",
-                 f"{ks2:.6f}", f"{limit:.6f}", ks2 <= limit))
+    for stream, hop, law in ((1, link.hop1, d1), (2, link.hop2, d2)):
+        ks = _ks_distance(simulate_hop(hop, McRun(seed, n_ks, args.threads),
+                                       stream=stream), law.cdf)
+        rows.append((f"hop{stream} law KS distance (n={n_ks})",
+                     f"{ks:.6f}", f"{limit:.6f}", ks <= limit))
 
     eq = simulate_end_to_end(link, McRun(seed, n_big, args.threads))
     grid = np.linspace(0.0, float(np.quantile(eq, 0.999)), 50)
@@ -445,7 +435,7 @@ def cmd_compare_cases(args) -> int:
             lines.append(",".join(
                 [mod.label, _fmt_num(args.hop1_snr_db), _fmt_num(db)]
                 + [_fmt_prob(v, args.full_precision) for v in values]))
-            failed.extend((mod.label, case, db)
+            failed.extend(f"{mod.label} {case} hop2={db:g} dB"
                           for case, v in zip(cases, values) if math.isnan(v))
             if any(math.isnan(v) for v in values):
                 orderings.append(f"# ordering {mod.label} @ {db:g} dB: not converged")
@@ -453,13 +443,7 @@ def cmd_compare_cases(args) -> int:
             orderings.append(f"# ordering {mod.label} @ {db:g} dB: "
                              + _ordering(values, cases, tol))
     lines.extend(orderings)
-
-    _write(lines, args.out)
-    if failed:
-        detail = "; ".join(f"{m} {c} hop2={db:g} dB" for m, c, db in failed)
-        print(f"twohop: quadrature did not converge at: {detail}", file=sys.stderr)
-        return 3
-    return 0
+    return _finish(lines, args.out, failed)
 
 
 if __name__ == "__main__":

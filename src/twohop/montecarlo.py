@@ -18,7 +18,6 @@ identical for any worker_count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -177,44 +176,47 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def sweep_eq_samples(scenario: LinkScenario, mods, hop2_mean_db_grid,
-                     hop1_mean_dbs, run: McRun):
-    """Yield (hop1_db, hop2_db, ((estimate, halfwidth), ...) in ``mods`` order).
+def sweep_eq_samples(links, mods, run: McRun):
+    """Yield ((estimate, halfwidth), ...) in ``mods`` order for each of ``links``.
 
-    One item per (hop-1 mean, hop-2 mean) pair, hop-1 mean by hop-1 mean
-    and the hop-2 grid in order within each.  Each value is ``mc_ser`` of
-    that pair's equivalent-SNR samples, computed in one streamed pass.
-    The effective hop SNR scales linearly with the per-branch mean for
-    every scheme (sums and maxima are 1-homogeneous), so each chunk draws
-    both hops once at unit mean and rescales them per pair; pairs share a
-    common random base, which removes sampling jitter between them.  A
-    chunk job turns its draws into SEP moments for every pair and
-    modulation, and the moments are merged in chunk order, so memory is
-    O(workers x chunk), not O(pairs x n_samples).
+    One item per link, in link order.  Each value is ``mc_ser`` of that
+    link's equivalent-SNR samples, computed in one streamed pass.  The
+    links must differ only in their hop means and share one combiner,
+    else (or with no links) ``ValueError``.  The effective hop SNR scales
+    linearly with the per-branch mean for every scheme (sums and maxima
+    are 1-homogeneous), so each chunk draws both hops once at unit mean
+    and rescales them per link, each distinct hop-1 mean once; links
+    share a common random base, which removes sampling jitter between
+    them.  A chunk job turns its draws into SEP moments for every link
+    and modulation, and the moments are merged in chunk order, so memory
+    is O(workers x chunk), not O(links x n_samples).
     """
     mods = tuple(mods)
-    hop1_dbs = np.asarray(hop1_mean_dbs, dtype=float).tolist()
-    hop2_dbs = np.asarray(hop2_mean_db_grid, dtype=float).tolist()
-    hop1 = replace(scenario.hop1, mean_branch_snr=1.0)
-    hop2 = replace(scenario.hop2, mean_branch_snr=1.0)
+    links = list(links)
+    units = {replace(link, hop1=replace(link.hop1, mean_branch_snr=1.0),
+                     hop2=replace(link.hop2, mean_branch_snr=1.0)) for link in links}
+    if len(units) != 1:
+        raise ValueError("links must be nonempty and differ only in their hop means")
+    unit, = units
+    hop1_means = dict.fromkeys(link.hop1.mean_branch_snr for link in links)
 
     def chunk(index, start, stop):
-        base1 = _hop_chunk(hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
+        base1 = _hop_chunk(unit.hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
                            stop - start)
-        base2 = _hop_chunk(hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
+        base2 = _hop_chunk(unit.hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
                            stop - start)
+        g1 = {mean: base1 * mean for mean in hop1_means}
         moments = []
-        for db1 in hop1_dbs:
-            g1 = base1 * 10.0 ** (db1 / 10.0)
-            for db2 in hop2_dbs:
-                eq = equivalent_snr(g1, base2 * 10.0 ** (db2 / 10.0), scenario.combiner)
-                moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
+        for link in links:
+            eq = equivalent_snr(g1[link.hop1.mean_branch_snr],
+                                base2 * link.hop2.mean_branch_snr, unit.combiner)
+            moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
         return moments
 
     per_chunk = _map_chunks(run, chunk)
-    for p, (db1, db2) in enumerate(itertools.product(hop1_dbs, hop2_dbs)):
+    for p in range(len(links)):
         estimates = []
         for k in range(len(mods)):
             n, mean, m2 = functools.reduce(_merge, (c[p][k] for c in per_chunk))
             estimates.append((mean, _halfwidth(n, m2)))
-        yield db1, db2, tuple(estimates)
+        yield tuple(estimates)

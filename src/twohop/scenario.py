@@ -74,6 +74,9 @@ MAX_SWEEP_POINTS = 10_000
 MAX_ABS_DB = 1000.0
 MAX_ANTENNAS = 64
 MAX_FADING_FIGURE = 100.0
+# Largest Monte-Carlo sample count: cdf and validate hold every sample in
+# memory, about 0.45 GB at this count.
+MAX_MC_SAMPLES = 10**7
 _COMMON_KEYS = {
     "name", "case", "m", "hop1_m", "hop2_m", "hop1_snr_db", "hop2_sweep_db",
     "hop2_snr_db", "modulations", "combiner", "mc_seed", "mc_samples",
@@ -279,7 +282,7 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     modulations = parse_modulations(_required(pairs, "modulations"), "modulations")
     combiner = _get_combiner(pairs)
     mc_seed = _get_int(pairs, "mc_seed", lo=0, optional=True)
-    mc_samples = _get_int(pairs, "mc_samples", optional=True)
+    mc_samples = _get_int(pairs, "mc_samples", hi=MAX_MC_SAMPLES, optional=True)
 
     return Scenario(
         name=pairs.get("name") or fallback_name,

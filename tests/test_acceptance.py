@@ -133,12 +133,14 @@ def test_criterion_2_ser_form_identity():
 @criterion(3, "analytic SER within 2% of semi-analytic Monte-Carlo")
 def test_criterion_3_ser_vs_mc(reference):
     started = time.perf_counter()
-    link = reference.scenario.link()
+    grid = reference.grid.tolist()
+    links = [reference.scenario.link_at(HOP1_DB, db) for db in grid]
     run = McRun(5150, 1_000_000, 4)
     failures = []
     mods = reference.scenario.modulations
-    points = sweep_eq_samples(link, mods, reference.grid, [HOP1_DB], run)
-    for j, (_, db, estimates) in enumerate(points):
+    points = list(sweep_eq_samples(links, mods, run))
+    assert len(points) == len(grid)
+    for j, (db, estimates) in enumerate(zip(grid, points)):
         for mod, (estimate, _) in zip(mods, estimates):
             analytic = reference.curves[mod.label][j]
             if analytic < 1e-4:

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twohop import cli
+from twohop import cli, montecarlo
 from twohop.cli import _fmt_prob, main
 from twohop.relay import Combiner
-from twohop.scenario import MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, load_scenario
+from twohop.scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
+                             load_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,14 @@ def run_main(argv):
     with redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if any Monte-Carlo chunk starts drawing."""
+    def draw(*args):
+        raise AssertionError("a Monte-Carlo draw started")
+    monkeypatch.setattr(montecarlo, "_chunk_rng", draw)
 
 
 def read_rows(path):
@@ -447,8 +456,9 @@ def _mini_scenario(path, overrides):
                  "n_s", id="n_s=n_r=n_d=1e60@1000dB"),
     pytest.param(dict(_TAS_64, hop1_n_tx=str(MAX_ANTENNAS + 1), mc_seed="1",
                       mc_samples="2000"), "hop1_n_tx", id="tas-hop1_n_tx=max+1"),
+    (dict(mc_samples=str(MAX_MC_SAMPLES + 1)), "mc_samples"),
 ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
-def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path):
+def test_non_finite_scenario_values_exit_two(overrides, field, tmp_path, no_draws):
     path = _mini_scenario(tmp_path / "bad.scenario", overrides)
     for command in ("ser-sweep", "cdf", "validate"):
         code, err = run_main([command, "--scenario", path])
@@ -526,7 +536,7 @@ def test_compare_cases_links_match_the_scenario_files(scenario_dir):
     assert simo == load_scenario(scenario_dir / "simo_miso_nr2.scenario").link()
 
 
-def test_common_flag_and_file_errors(mini_path, tmp_path):
+def test_common_flag_and_file_errors(mini_path, tmp_path, no_draws):
     code, err = run_main(["ser-sweep", "--scenario", "/no/such/file.scenario"])
     assert code == 2 and "twohop:" in err
 
@@ -545,6 +555,8 @@ def test_common_flag_and_file_errors(mini_path, tmp_path):
         (["ser-sweep", "--scenario", mini_path, "--samples", "0"], "samples"),
         (["ser-sweep", "--scenario", mini_path, "--seed", "-1"], "seed"),
         (["validate", "--scenario", mini_path, "--samples", "0"], "samples"),
+        *[([command, "--scenario", mini_path, "--samples", str(MAX_MC_SAMPLES + 1)], "samples")
+          for command in ("ser-sweep", "cdf", "validate")],
     ]:
         code, err = run_main(argv)
         assert code == 2, argv

@@ -19,6 +19,7 @@ from twohop.montecarlo import (
     sweep_eq_samples,
 )
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf_grid, equivalent_snr
+from twohop.scenario import link_at
 from twohop.ser import PskModulation, conditional_sep
 
 HOP = HopConfig(3, 2, 1.0, 2.0, CombiningScheme.TAS_MRC)
@@ -171,10 +172,11 @@ def test_mc_ser_matches_manual_mean():
 def test_sweep_samples_share_the_random_base():
     grid = np.array([0.0, 5.0, 10.0])
     run = McRun(17, 50_000, 2)
-    pairs = list(sweep_eq_samples(LINK, [BPSK, PSK8], grid, [3.0], run))
-    assert [(db1, db2) for db1, db2, _ in pairs] == [(3.0, db) for db in grid]
+    items = list(sweep_eq_samples([link_at(LINK, 3.0, db) for db in grid],
+                                  [BPSK, PSK8], run))
+    assert len(items) == grid.size
     previous = None
-    for _, _, estimates in pairs:
+    for estimates in items:
         assert len(estimates) == 2
         # the 8-PSK decision regions are smaller at every sample
         assert estimates[1][0] > estimates[0][0]
@@ -185,9 +187,8 @@ def test_sweep_samples_share_the_random_base():
 
 
 def test_sweep_samples_agree_with_independent_simulation():
-    grid = np.array([6.0])
     run = McRun(5, 200_000, 2)
-    (_, _, ((ser_a, hw_a),)), = sweep_eq_samples(LINK, [BPSK], grid, [3.0], run)
+    ((ser_a, hw_a),), = sweep_eq_samples([link_at(LINK, 3.0, 6.0)], [BPSK], run)
     direct_link = LinkScenario(
         replace(LINK.hop1, mean_branch_snr=10.0 ** 0.3),
         replace(LINK.hop2, mean_branch_snr=10.0 ** 0.6),
@@ -198,23 +199,22 @@ def test_sweep_samples_agree_with_independent_simulation():
 
 
 def test_one_pass_over_several_hop1_means_equals_one_pass_each():
-    grid = np.array([1.0, 8.0])
+    grid = [1.0, 8.0]
     run = McRun(13, 150_000, 2)
-    together = list(sweep_eq_samples(LINK, MODS, grid, [0.5, 4.0], run))
+    together = list(sweep_eq_samples([link_at(LINK, db1, db) for db1 in (0.5, 4.0)
+                                      for db in grid], MODS, run))
     apart = [item for db1 in (0.5, 4.0)
-             for item in sweep_eq_samples(LINK, MODS, grid, [db1], run)]
+             for item in sweep_eq_samples([link_at(LINK, db1, db) for db in grid], MODS, run)]
+    assert len(together) == 4
     assert together == apart
-    assert [(db1, db2) for db1, db2, _ in together] == [
-        (0.5, 1.0), (0.5, 8.0), (4.0, 1.0), (4.0, 8.0)]
 
 
 def test_streamed_sweep_is_bitwise_equal_for_any_worker_count():
     # 150k samples span three chunks, so the merge order is exercised
-    grid = np.array([0.0, 7.0])
-    reference = list(sweep_eq_samples(LINK, MODS, grid, [2.0], McRun(3, 150_000, 1)))
+    links = [link_at(LINK, 2.0, db) for db in (0.0, 7.0)]
+    reference = list(sweep_eq_samples(links, MODS, McRun(3, 150_000, 1)))
     for workers in (2, 5):
-        assert list(sweep_eq_samples(LINK, MODS, grid, [2.0],
-                                     McRun(3, 150_000, workers))) == reference
+        assert list(sweep_eq_samples(links, MODS, McRun(3, 150_000, workers))) == reference
 
 
 TAS_LINK = LinkScenario(HopConfig(2, 2, 1.5, 1.0, CombiningScheme.STBC_MRC),
@@ -231,25 +231,49 @@ def test_streamed_sweep_matches_mc_ser_on_the_same_draws(link):
     run = McRun(11, 200_000, 2)      # four chunks, the last one partial
     g1 = simulate_hop(replace(link.hop1, mean_branch_snr=10.0 ** 0.25), run, stream=1)
     base2 = simulate_hop(replace(link.hop2, mean_branch_snr=1.0), run, stream=2)
-    streamed = list(sweep_eq_samples(link, MODS, grid, [2.5], run))
-    for (db1, db, estimates), expected_db in zip(streamed, grid):
-        assert (db1, db) == (2.5, expected_db)
-        eq = equivalent_snr(g1, base2 * 10.0 ** (expected_db / 10.0), link.combiner)
+    streamed = list(sweep_eq_samples([link_at(link, 2.5, db) for db in grid], MODS, run))
+    assert len(streamed) == grid.size
+    for estimates, db in zip(streamed, grid):
+        eq = equivalent_snr(g1, base2 * 10.0 ** (db / 10.0), link.combiner)
         for mod, (estimate, halfwidth) in zip(MODS, estimates):
             want, want_hw = mc_ser(mod, eq)
             assert estimate == pytest.approx(want, rel=1e-13, abs=0)
             assert halfwidth == pytest.approx(want_hw, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("links", [
+    [],
+    [LINK, replace(LINK, hop1=replace(LINK.hop1, scheme=CombiningScheme.TAS_MRC))],
+    [LINK, replace(LINK, hop1=replace(LINK.hop1, n_tx=3))],
+    [LINK, replace(LINK, hop2=replace(LINK.hop2, m=2.0))],
+    [LINK, replace(LINK, combiner=Combiner.HARMONIC)],
+], ids=["empty", "scheme", "antennas", "m", "combiner"])
+def test_streamed_sweep_rejects_links_that_differ_beyond_their_means(links):
+    with pytest.raises(ValueError):
+        list(sweep_eq_samples(links, [BPSK], McRun(1, 10)))
+
+
+def test_each_link_of_a_streamed_sweep_equals_a_pass_of_its_own():
+    """Links out of grid order, with repeated hop-1 means, match one-link passes bit for bit."""
+    links = [link_at(TAS_LINK, db1, db2) for db1, db2 in
+             [(4.0, 9.0), (0.5, 2.0), (4.0, -3.0), (0.5, 2.0), (4.0, 12.0), (1.5, 9.0)]]
+    run = McRun(21, 100_000, 2)      # two chunks
+    together = list(sweep_eq_samples(links, MODS, run))
+    assert len(together) == len(links)
+    for link, item in zip(links, together):
+        alone, = sweep_eq_samples([link], MODS, run)
+        assert item == alone
+
+
 def test_streamed_sweep_of_one_sample_has_no_halfwidth():
-    (_, _, ((estimate, halfwidth),)), = sweep_eq_samples(LINK, [BPSK], [3.0], [1.0],
-                                                         McRun(4, 1))
+    ((estimate, halfwidth),), = sweep_eq_samples([link_at(LINK, 1.0, 3.0)], [BPSK],
+                                                 McRun(4, 1))
     assert 0.0 < estimate < 0.5 and halfwidth == 0.0
 
 
 def test_streamed_sweep_memory_stays_below_one_sample_array():
     n = 1_000_000
-    sweep = sweep_eq_samples(LINK, MODS, np.array([0.0, 10.0, 20.0]), [3.0],
+    sweep = sweep_eq_samples([link_at(LINK, 3.0, db) for db in (0.0, 10.0, 20.0)], MODS,
                              McRun(8, n, 2))
     tracemalloc.start()
     try:

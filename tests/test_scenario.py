@@ -13,6 +13,7 @@ from twohop.scenario import (
     MAX_ABS_DB,
     MAX_ANTENNAS,
     MAX_FADING_FIGURE,
+    MAX_MC_SAMPLES,
     Scenario,
     ScenarioError,
     SweepSpec,
@@ -182,6 +183,7 @@ _CUSTOM_STBC_MRC = dict(case="CUSTOM", n_s=None, n_r=None, n_d=None,
     ({}, ("hop1_snr_db",), -MAX_ABS_DB, MAX_ABS_DB),
     ({}, ("hop2_snr_db",), -MAX_ABS_DB, MAX_ABS_DB),
     ({}, ("hop2_sweep_db",), -MAX_ABS_DB, MAX_ABS_DB),
+    ({}, ("mc_samples",), 1, MAX_MC_SAMPLES),
 ], ids=lambda v: "/".join(v) if isinstance(v, tuple) else None)
 def test_range_ends_pass_and_the_values_just_outside_fail(base, keys, lo, hi):
     def parse(value):

@@ -11,7 +11,7 @@ from twohop.fading import GammaSnr
 from twohop.montecarlo import McRun, mc_ser, simulate_end_to_end
 from twohop.numerics import gaussian_q
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
-from twohop.scenario import db_to_linear, load_scenario, parse_modulations
+from twohop.scenario import link_at, load_scenario, parse_modulations
 from twohop.ser import (
     PskModulation,
     conditional_sep,
@@ -117,9 +117,7 @@ def test_ser_decreases_with_mean_snr():
 
 def links_at(link: LinkScenario, hop1_db: float, grid) -> list[LinkScenario]:
     """``link`` at hop-1 mean ``hop1_db`` and each hop-2 mean of ``grid`` (dB)."""
-    hop1 = replace(link.hop1, mean_branch_snr=db_to_linear(hop1_db))
-    return [replace(link, hop1=hop1, hop2=replace(link.hop2, mean_branch_snr=db_to_linear(db)))
-            for db in grid]
+    return [link_at(link, hop1_db, db) for db in grid]
 
 
 def _mimo3_link() -> LinkScenario:
