@@ -1,6 +1,6 @@
 """Adaptive quadrature and special functions shared by the distribution and SER modules.
 
-The integration engine is a vectorized adaptive Gauss-Kronrod 7/15 scheme
+The integration engine is a vectorized adaptive Gauss-Kronrod 10/21 scheme
 with interval bisection, run on a batch of integrands at once; the scalar
 integrators are its one-integrand case.  All quadrature nodes are interior,
 so integrands may be singular (or merely undefined) at interval endpoints
@@ -11,14 +11,15 @@ Every integrand starts from the same fixed partition of its interval,
 ``START_PARTITION``: the pieces ``[0, 1/2], [1/2, 3/4], [3/4, 7/8],
 [7/8, 1]`` of ``[lo, hi]``, which bisection would reach after three rounds
 on the upper side.  Under the ``[0, 1)`` map of the semi-infinite
-integrators, ``x = lo + s*t/(1-t)``, they are ``x - lo`` in ``[0, s],
-[s, 3s], [3s, 7s], [7s, inf)``, a geometric start.  Reported evaluation
+integrators, ``x = lo + t/(1-t)``, they are ``x - lo`` in ``[0, 1],
+[1, 3], [3, 7], [7, inf)``, a geometric start.  Reported evaluation
 counts include the start pieces.
 
-Each integrand ends either converged or not: one that runs out of room
-retires with its best estimate and ``converged=False`` while the rest of
-the batch goes on.  Callers turn that flag into NaN; nothing here raises
-on non-convergence.
+Each integrand ends either converged, once its error estimate is at most
+``tol * max(|value|, floor)`` (relative unless its caller passes a
+``floor``), or not: one that runs out of room retires with its best
+estimate and ``converged=False`` while the rest of the batch goes on.
+Callers turn that flag into NaN; nothing here raises on non-convergence.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "DEFAULT_SER_TOL",
     "NESTED_TIGHTENING",
     "START_PARTITION",
-    "ABS_FLOOR",
 ]
 
 #: Default relative tolerance for inner (CDF) quadratures.
@@ -56,39 +56,33 @@ NESTED_TIGHTENING = 100.0
 #: Breakpoints, as fractions of ``[lo, hi]``, of the pieces every integrand
 #: starts from: bisection's first three rounds on the upper side.
 START_PARTITION = (0.0, 0.5, 0.75, 0.875, 1.0)
-#: Magnitude below which a relative tolerance is applied to the floor instead
-#: of the integral's value: ``error <= tol * max(|value|, ABS_FLOOR)``.
-ABS_FLOOR = 1e-12
 
-# 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
-# Nodes ascending; the Gauss subset sits at the odd indices.
+# QUADPACK's qk21 (Piessens et al. 1983): the 21-point Kronrod rule with
+# its embedded 10-point Gauss rule on [-1, 1].  Nodes ascending; the Gauss
+# subset sits at the odd indices.
 _XGK_HALF = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
 ])
 _WGK_HALF = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
 ])
 _WG_HALF = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
 
 _NODES = np.concatenate([-_XGK_HALF, [0.0], _XGK_HALF[::-1]])
-_WK = np.concatenate([_WGK_HALF, [0.209482141084728], _WGK_HALF[::-1]])
-_WG = np.concatenate([_WG_HALF, [0.417959183673469], _WG_HALF[::-1]])
+_WK = np.concatenate([_WGK_HALF, [0.149445554002916905664936468389821], _WGK_HALF[::-1]])
+_WG = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def _first_max_per_owner(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
     return order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
 
 
-def integrate_batch(f: Callable, lo, hi, tol: float, *,
+def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
                     max_intervals: int = 2048) -> BatchQuadrature:
     """Integrate a batch of integrands, the i-th over ``[lo[i], hi[i]]``.
 
@@ -171,7 +165,8 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
     share of half the remaining budget (at least the worst one), so flat
     regions are left alone while problem spots are chased.  An integrand
     retires converged once its summed local errors drop below
-    ``tol * max(|value|, ABS_FLOOR)``, and unconverged, with its best
+    ``tol * max(|value|, floor[i])`` (``floor`` is one nonnegative value
+    for all, or one per integrand), and unconverged, with its best
     estimate, once it reaches ``max_intervals`` or has no interval left
     wider than rounding.  A NaN integrand value retires its integrand
     unconverged, with value NaN, in the round that meets it; an infinite
@@ -191,13 +186,15 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         raise ValueError(f"invalid integration interval [{lo[bad]}, {hi[bad]}]")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), lo.shape)
+    if not np.all((0.0 <= floor) & (floor < math.inf)):
+        raise ValueError(f"floor must be nonnegative and finite, got {floor}")
     pieces = len(START_PARTITION) - 1
     if max_intervals < pieces:
         raise ValueError(f"max_intervals must be at least {pieces}, got {max_intervals}")
 
     n = lo.size
-    value = np.zeros(n)
-    error = np.zeros(n)
+    value, error = np.zeros(n), np.zeros(n)
     converged = np.zeros(n, dtype=bool)
     count = np.full(n, pieces, dtype=np.int64)      # live intervals per integrand
     evaluated = np.full(n, pieces, dtype=np.int64)  # intervals evaluated so far
@@ -217,7 +214,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
         active[owner] = True
         total = np.bincount(owner, vals, minlength=n)
         total_err = np.bincount(owner, errs, minlength=n)
-        target = tol * np.maximum(np.abs(total), ABS_FLOOR)
+        target = tol * np.maximum(np.abs(total), floor)
         value[active] = total[active]
         error[active] = total_err[active]
         done = active & (total_err <= target)
@@ -266,65 +263,43 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *,
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,
                      max_intervals: int = 2048) -> QuadratureResult:
-    """Integrate ``f`` over ``[lo, hi]`` to relative tolerance ``tol``.
-
-    The one-integrand case of ``integrate_batch``: when refinement reaches
-    ``max_intervals`` the best estimate comes back with ``converged=False``
-    rather than raising.
-    """
+    """Integrate ``f`` over ``[lo, hi]``: the one-integrand case of ``integrate_batch``."""
     r = integrate_batch(lambda x, _: f(x), lo, hi, tol, max_intervals=max_intervals)
     return QuadratureResult(float(r.value[0]), float(r.error_estimate[0]),
                             int(r.evaluations[0]), bool(r.converged[0]))
 
 
-def _unit_interval(f: Callable, lo, scale) -> Callable:
-    """``f(x, owner)`` on ``[lo, inf)`` as an integrand of t on [0, 1).
-
-    The substitution is ``x = lo + scale*t/(1-t)``, with ``lo`` and
-    ``scale`` taken per owner.
-    """
+def _unit_interval(f: Callable, lo) -> Callable:
+    """``f(x, owner)`` on ``[lo, inf)`` as an integrand of t on [0, 1): x = lo + t/(1-t)."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    scale = np.atleast_1d(np.asarray(scale, dtype=float))
     if not np.all(np.isfinite(lo)):
         raise ValueError(f"lower limit must be finite, got {lo}")
-    if not np.all((0.0 < scale) & (scale < math.inf)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
 
     def mapped(t: np.ndarray, owner) -> np.ndarray:
         one_minus = 1.0 - t
-        s = scale[owner]
-        x = lo[owner] + s * t / one_minus
-        return f(x, owner) * (s / one_minus ** 2)
+        return f(lo[owner] + t / one_minus, owner) * (1.0 / one_minus ** 2)
 
     return mapped
 
 
 def integrate_semi_infinite(f: Callable, lo: float, tol: float, *,
-                            scale: float = 1.0,
                             max_intervals: int = 2048) -> QuadratureResult:
-    """Integrate ``f`` over ``[lo, inf)`` via ``x = lo + scale*t/(1-t)`` on [0, 1).
-
-    ``scale`` sets the substitution's characteristic length (the start
-    pieces meet at lo + scale, lo + 3*scale and lo + 7*scale).  Pass the
-    location of the integrand's mass when it sits far from lo + O(1);
-    otherwise the mass is compressed against t = 1 where the initial nodes
-    may see only zeros and adaptive refinement never finds it.
-    """
+    """Integrate ``f`` over ``[lo, inf)`` via ``x = lo + t/(1-t)`` on [0, 1)."""
     # Through integrate_finite, which bench/tracing.py counts by name.
-    mapped = _unit_interval(lambda x, _: f(x), lo, scale)
+    mapped = _unit_interval(lambda x, _: f(x), lo)
     return integrate_finite(lambda t: mapped(t, 0), 0.0, 1.0, tol,
                             max_intervals=max_intervals)
 
 
-def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *, scale,
+def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *,
                                   max_intervals: int = 2048) -> BatchQuadrature:
     """``integrate_semi_infinite`` for a batch: ``f(x, owner)`` over ``[lo[i], inf)``.
 
-    ``lo`` and ``scale`` are 1-D arrays, one entry per integrand; the
-    batch runs through ``integrate_batch``.
+    ``lo`` is a 1-D array, one entry per integrand; the batch runs through
+    ``integrate_batch``.
     """
     n = np.size(lo)
-    return integrate_batch(_unit_interval(f, lo, scale), np.zeros(n), np.ones(n), tol,
+    return integrate_batch(_unit_interval(f, lo), np.zeros(n), np.ones(n), tol,
                            max_intervals=max_intervals)
 
 

@@ -16,15 +16,16 @@ For the CDF at gamma, condition on the hop-2 SNR y:
 
 Hence F_eq(gamma) = F2(gamma) + integral over (gamma, inf) of
 F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
-batch of adaptive quadratures after mapping the semi-infinite range onto
-[0, 1).  ``end_to_end_cdf`` checks its arguments once.  The F2(gamma)
-term, at the caller's own points, goes through each hop-2 law's public,
-checked ``cdf``: one call per law per batch.  The integrand, at the
-quadrature's nodes, reads the hop laws' internal ``LawTable``s, which
-evaluate every link of the batch in one expression and check
-nothing, so no round makes a public call.  A gamma whose quadrature does
-not converge comes back as NaN;
-only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
+batch of adaptive quadratures over s = ln(y - gamma), which resolves every
+scale of y - gamma alike.  Outside [ln(gamma) - 40, ln(max(mean bound,
+gamma)) + 6] the integrand's share of F_eq is below double precision.
+``end_to_end_cdf`` checks its arguments once.  The F2(gamma) term, at the
+caller's own points, goes through each hop-2 law's public, checked
+``cdf``: one call per law per batch.  The integrand, at the quadrature's
+nodes, reads the hop laws' internal ``LawTable``s, which evaluate every
+link of the batch in one expression and check nothing, so no round makes a
+public call.  A gamma whose quadrature does not converge comes back as
+NaN; only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
 ``ConvergenceError`` for it.
 """
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .diversity import HopConfig
 from .fading import GammaSnr, LawTable
-from .numerics import DEFAULT_CDF_TOL, integrate_semi_infinite_batch
+from .numerics import DEFAULT_CDF_TOL, integrate_batch
 
 __all__ = [
     "Combiner",
@@ -91,7 +92,7 @@ def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
 
 
 def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
-                   tol: float = DEFAULT_CDF_TOL, *, law=None):
+                   tol: float = DEFAULT_CDF_TOL, *, law=None, floor=1e-300):
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
@@ -102,7 +103,9 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     elements run as one batch of inner quadratures, and each value is
     bit-identical to a call with that element (and its link) alone.  An
     element whose quadrature does not converge is NaN; the others are
-    unaffected.
+    unaffected.  An element's quadrature stops at an error of
+    ``tol * max(integral, floor)``, with ``floor`` nonnegative: one value,
+    or one per link when ``law`` is given.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -119,12 +122,14 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
                 or not np.all((0 <= which) & (which < len(d2s)))):
             raise ValueError("law must be integers indexing d1 and d2, one per snr element")
         which = which.reshape(-1).astype(np.intp)
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (len(d2s),))
     flat = gamma.reshape(-1)
     # F_eq is 0 at gamma = 0 and 1 at gamma = +inf; only the rest need a quadrature.
     out = np.where(flat == np.inf, 1.0, 0.0)
     pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     if pos.size:
-        out[pos] = _positive_cdf(d1s, d2s, which[pos], flat[pos], combiner, tol)
+        out[pos] = _positive_cdf(d1s, d2s, which[pos], flat[pos], combiner, tol,
+                                 floor[which[pos]])
     if gamma.ndim == 0:
         return float(out[0])
     return out.reshape(gamma.shape)
@@ -140,7 +145,7 @@ def _hop2_cdf(laws: tuple, law: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
-                  combiner: Combiner, tol: float) -> np.ndarray:
+                  combiner: Combiner, tol: float, floor: np.ndarray) -> np.ndarray:
     """F_eq at positive ``gamma[i]`` on link ``law[i]``, NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
     # end_to_end_cdf has checked every input, so the integrand evaluates
@@ -148,25 +153,17 @@ def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
     # expression for all links, with no per-call checks.
     hop1, hop2 = LawTable(d1s), LawTable(d2s)
 
-    def integrand(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
         g = gamma[owner]
-        threshold = g * (y + shift) / (y - g)
-        # Nodes are interior so y > gamma analytically, but the subtraction
-        # can round to zero; the threshold limit there is +inf (F1 -> 1).
-        threshold = np.where(y > g, threshold, np.inf)
+        gap = np.exp(s)  # y - gamma, without the rounding of a subtraction
+        y = g + gap
         link = law[owner]
-        return hop1.cdf(threshold, link) * hop2.pdf(y, link)
+        return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
 
-    # The integrand's mass sits either just above gamma or around the hop-2
-    # mean, whichever is larger; matching the substitution scale to that
-    # keeps the mass visible to the initial quadrature nodes even when the
-    # hop-2 mean is orders of magnitude away from gamma.  Under selection
-    # the exact mean needs an integral of its own; the table's upper bound
-    # is of the right order, which is all a substitution scale has to be.
-    scale = hop2.mean_bound[law]
+    lo = np.log(gamma) - 40.0
+    hi = np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        result = integrate_semi_infinite_batch(integrand, gamma, tol,
-                                               scale=np.maximum(scale, gamma))
+        result = integrate_batch(integrand, lo, hi, tol, floor=floor)
     raw = _hop2_cdf(d2s, law, gamma) + result.value
     value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
     # NaN compares False, so only a converged value can report a clamp.

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twohop.numerics import (
+    _NODES,
+    _WG,
+    _WK,
     START_PARTITION,
     QuadratureResult,
     _first_max_per_owner,
@@ -114,32 +117,51 @@ def _bump(mu: float, k: float = 9.0):
     return lambda x: coeff * x ** (k - 1.0) * np.exp(-k * x / mu)
 
 
-def test_distant_mass_needs_matching_scale():
-    # With the substitution scale matched to the bump location the start
-    # nodes straddle it and the unit integral comes out; with the default
-    # scale every node lands far left of the rise, so the result is either
-    # flagged as non-converged or silently near zero.
-    matched = integrate_semi_infinite(_bump(1e9), 0.0, 1e-9, scale=1e9)
-    assert matched.converged
-    assert abs(matched.value - 1.0) < 1e-8
-
-    blind = integrate_semi_infinite(_bump(1e9), 0.0, 1e-9)
-    assert (not blind.converged) or abs(blind.value - 1.0) > 0.5
-
-
 def test_start_partition_finds_mass_a_million_scales_out():
-    # The start piece [7s, inf) puts nodes far enough out that refinement
-    # finds a bump at 1e6 with the default scale.
+    # The start piece [7, inf) puts nodes far enough out that refinement
+    # finds a bump at 1e6.
     found = integrate_semi_infinite(_bump(1e6), 0.0, 1e-9)
     assert found.converged
     assert abs(found.value - 1.0) < 1e-11
+
+
+def test_relative_stopping_rule_finds_mass_a_billion_scales_out():
+    # While the integral seen so far is tiny, only a relative stopping rule
+    # keeps refining towards the tail, so a bump at 1e9 is found too.
+    found = integrate_semi_infinite(_bump(1e9), 0.0, 1e-9)
+    assert found.converged
+    assert abs(found.value - 1.0) < 1e-9
+
+
+def test_rule_integrates_polynomials_to_its_degree():
+    # Gauss-Kronrod 10/21: the Kronrod rule is exact through degree 31,
+    # its embedded Gauss rule (the odd-index nodes) through degree 19.
+    assert _NODES.size == 21 and np.all(np.diff(_NODES) > 0)
+    assert math.isclose(_WK.sum(), 2.0, rel_tol=1e-15)
+    assert math.isclose(_WG.sum(), 2.0, rel_tol=1e-15)
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs((_WK * _NODES ** k).sum() - exact) <= 1e-15, k
+        if k <= 19:
+            assert abs((_WG * _NODES[1::2] ** k).sum() - exact) <= 1e-15, k
+
+
+def test_rule_constants_match_scipy_qk21(monkeypatch):
+    # SciPy keeps QUADPACK's qk21 table inside _quadrature_gk21: nodes
+    # descending, the 10-point Gauss weights, then the 21-point weights.
+    from scipy.integrate import _quad_vec
+
+    monkeypatch.setattr(_quad_vec, "_quadrature_gk", lambda a, b, f, norm, x, w, v: (x, w, v))
+    x, w, v = _quad_vec._quadrature_gk21(-1.0, 1.0, None, None)
+    assert _NODES.tolist() == [float(node) for node in x[::-1]]
+    assert _WK.tolist() == list(v) and _WG.tolist() == list(w)
 
 
 def test_evaluations_count_the_start_pieces():
     # x^2 is exact on every start piece, so nothing is refined
     result = integrate_finite(lambda x: x * x, 0.0, 1.0, 1e-9)
     assert result.converged
-    assert result.evaluations == (len(START_PARTITION) - 1) * 15 == 60
+    assert result.evaluations == (len(START_PARTITION) - 1) * 21 == 84
 
 
 def test_rejects_fewer_intervals_than_start_pieces():
@@ -206,7 +228,7 @@ def _poisoned(bad: float):
 def test_nan_integrand_retires_at_once_and_alone():
     # A NaN value retires its integrand unconverged after the start pieces;
     # an infinite one is bisected until the budget runs out.
-    start = (len(START_PARTITION) - 1) * 15
+    start = (len(START_PARTITION) - 1) * 21
     with np.errstate(invalid="ignore"):  # inf - inf in the infinite pieces' errors
         nan_alone = integrate_finite(_poisoned(math.nan), 0.0, 1.0, 1e-9, max_intervals=64)
         inf_alone = integrate_finite(_poisoned(math.inf), 0.0, 1.0, 1e-9, max_intervals=64)
@@ -276,15 +298,14 @@ def test_rejects_bad_interval(lo, hi):
         integrate_finite(lambda x: x, lo, hi, 1e-8)
 
 
-def test_rejects_bad_tolerance_and_scale():
+def test_rejects_bad_tolerance_floor_and_lower_limit():
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 0.0, 1.0, -1e-8)
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda x: x, 0.0, 1e-8, scale=0.0)
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda x: x, 0.0, 1e-8, scale=math.inf)
+    for floor in (-1e-12, math.nan, math.inf, [1e-12, -1.0]):
+        with pytest.raises(ValueError, match="floor"):
+            integrate_batch(lambda x, _: x, [0.0, 0.0], [1.0, 1.0], 1e-8, floor=floor)
     with pytest.raises(ValueError):
         integrate_semi_infinite(lambda x: x, math.inf, 1e-8)
 

@@ -1,7 +1,9 @@
 """End-to-end equivalent SNR: pointwise combiner and CDF quadrature."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -65,6 +67,53 @@ def test_dual_rayleigh_closed_form_spot_values():
         assert abs(got - want) < 1e-8, (g, got, want)
 
 
+def _hasna_alouini(g: float, mean1: float, mean2: float) -> float:
+    """Single-antenna Rayleigh, exact combiner (Hasna & Alouini 2003), at 60 digits.
+
+    F = 1 - z e^(-g (1/mean1 + 1/mean2)) K1(z), z = 2 sqrt(g (g + 1) / (mean1 mean2)).
+    In doubles the subtraction from 1 loses F's leading digits deep in the tail.
+    """
+    with mpmath.workdps(60):
+        g = mpmath.mpf(g)
+        z = 2 * mpmath.sqrt(g * (g + 1) / (mpmath.mpf(mean1) * mean2))
+        return float(1 - z * mpmath.exp(-g * (1 / mpmath.mpf(mean1) + 1 / mpmath.mpf(mean2)))
+                     * mpmath.besselk(1, z))
+
+
+@pytest.mark.parametrize("db2", [0.0, 20.0, 50.0])
+@pytest.mark.parametrize("db1", [0.0, 20.0, 50.0])
+def test_single_antenna_rayleigh_matches_the_closed_form(db1, db2):
+    # From 1e-6, where F is down to 2e-11 at 50/50 dB, up to each hop mean.
+    mean1, mean2 = 10.0 ** (db1 / 10.0), 10.0 ** (db2 / 10.0)
+    gamma = np.unique([1e-6, 2e-6, 1e-4, 1e-2, 1.0, mean1 / 10.0, mean1,
+                       mean2 / 10.0, mean2])
+    got = end_to_end_cdf(GammaSnr(1.0, mean1), GammaSnr(1.0, mean2), gamma)
+    want = np.array([_hasna_alouini(g, mean1, mean2) for g in gamma])
+    assert np.all(np.abs(got - want) <= 1e-8 * want), (gamma, got / want - 1.0)
+
+
+def test_floor_bounds_the_absolute_error_and_is_checked():
+    # Below the floor the error bound is tol * floor, not tol * F; above
+    # it the bound stays relative.
+    hop = GammaSnr(1.0, 1e5)
+    gamma = np.array([1e-6, 1e4])
+    exact = np.array([_hasna_alouini(g, 1e5, 1e5) for g in gamma])
+    floored = end_to_end_cdf(hop, hop, gamma, tol=1e-6, floor=1e-3)
+    assert abs(floored[0] - exact[0]) <= 1e-6 * 1e-3
+    assert abs(floored[1] - exact[1]) <= 1e-6 * exact[1]
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="floor"):
+            end_to_end_cdf(hop, hop, gamma, floor=bad)
+    with pytest.raises(ValueError):
+        end_to_end_cdf(hop, hop, gamma, floor=[1e-3, 1e-3])
+    # one floor per link
+    law = np.array([0, 1])
+    per_link = end_to_end_cdf([hop, hop], [hop, hop], gamma, tol=1e-6, law=law,
+                              floor=[1e-300, 1e-3])
+    assert per_link[1] == floored[1]
+    assert per_link[0] == end_to_end_cdf(hop, hop, gamma[0], tol=1e-6)
+
+
 def test_cdf_at_zero_and_domain_checks():
     assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -104,8 +153,8 @@ def test_exact_cdf_sits_above_harmonic_cdf():
 
 def test_far_hop_two_mean_reduces_to_hop_one():
     # with the relay-to-destination hop nearly transparent the end-to-end
-    # law collapses onto hop 1; this regime needs the scale-aware
-    # substitution (the hop-2 density lives six decades above gamma)
+    # law collapses onto hop 1; the log map's range reaches past the hop-2
+    # mean (the hop-2 density lives six decades above gamma)
     d1 = GammaSnr(shape=9.0, mean=6.0)
     d2 = GammaSnr(shape=9.0, mean=3.0e6)
     for g in (1.0, 4.0, 10.0):
@@ -202,29 +251,31 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
     import twohop.relay as relay_module
 
     integrands = []
-    real_batch = relay_module.integrate_semi_infinite_batch
+    real_batch = relay_module.integrate_batch
 
     def capturing_batch(f, *args, **kwargs):
         integrands.append(f)
         return real_batch(f, *args, **kwargs)
 
-    monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", capturing_batch)
+    monkeypatch.setattr(relay_module, "integrate_batch", capturing_batch)
     gamma = np.array([1e-6, 0.05, 0.4, 2.0, 7.0, 30.0])
     law = np.arange(len(TABLE_LAWS))
     d1s = d1 if isinstance(d1, list) else [d1] * len(TABLE_LAWS)
     end_to_end_cdf(d1s, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
     integrand, = integrands
-    # y from just above gamma to far into every law's tail
+    # s = ln(y - gamma), from just above gamma to far into every law's tail
     owner = np.repeat(law, 40)
     g = gamma[owner]
-    y = g + np.tile(np.geomspace(1e-9, 1e4, 40), law.size) * np.maximum(g, 1.0)
-    got = integrand(y, owner)
+    s = np.log(np.tile(np.geomspace(1e-9, 1e4, 40), law.size) * np.maximum(g, 1.0))
+    got = integrand(s, owner)
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
+    gap = np.exp(s)
+    y = g + gap
     want = np.empty_like(y)
     for k, d2 in enumerate(TABLE_LAWS):
         mine = owner == k
-        want[mine] = (d1s[k].cdf(g[mine] * (y[mine] + shift) / (y[mine] - g[mine]))
-                      * d2.pdf(y[mine]))
+        want[mine] = (d1s[k].cdf(g[mine] * (y[mine] + shift) / gap[mine])
+                      * d2.pdf(y[mine]) * gap[mine])
     assert np.all(np.isfinite(got)) and np.any(got > 0)
     assert got.tolist() == want.tolist()
 
@@ -248,17 +299,17 @@ def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
                             counting(f"GammaSnr.{method}", getattr(GammaSnr, method)))
     monkeypatch.setattr(numerics_module, "regularized_lower_gamma",
                         counting("gammainc", numerics_module.regularized_lower_gamma))
-    real_batch = relay_module.integrate_semi_infinite_batch
+    real_batch = relay_module.integrate_batch
 
     def counting_batch(f, *args, **kwargs):
-        def integrand(y, owner):
+        def integrand(s, owner):
             before = len(calls)
-            out = f(y, owner)
+            out = f(s, owner)
             rounds.append(len(calls) - before)
             return out
         return real_batch(integrand, *args, **kwargs)
 
-    monkeypatch.setattr(relay_module, "integrate_semi_infinite_batch", counting_batch)
+    monkeypatch.setattr(relay_module, "integrate_batch", counting_batch)
     d1 = GammaSnr(1.5, 4.0, 2)
     counted = []
     for laws, tol in ((TABLE_LAWS[:1], 1e-4), (TABLE_LAWS, 1e-4), (TABLE_LAWS, 1e-10)):
@@ -303,9 +354,14 @@ def test_array_call_rejects_negative_or_nan_elements(bad):
         end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, bad)
 
 
-def test_one_nonconvergent_element_is_nan_alone():
-    # gamma 1e-6 on two 50 dB Rayleigh hops exhausts the interval budget
-    # before it meets the tolerance, while its neighbours converge
+def test_one_nonconvergent_element_is_nan_alone(monkeypatch):
+    # With eight intervals per quadrature, gamma 1e-6 on two 50 dB Rayleigh
+    # hops runs out of them before it meets the tolerance, while its
+    # neighbours converge
+    import twohop.relay as relay_module
+
+    monkeypatch.setattr(relay_module, "integrate_batch",
+                        functools.partial(relay_module.integrate_batch, max_intervals=8))
     hop = GammaSnr(shape=1.0, mean=1e5)
     assert math.isnan(end_to_end_cdf(hop, hop, 1e-6))
     points = np.array([1.0, 1e-6, 3.0])
