@@ -2,10 +2,11 @@
 
 The integration engine is a vectorized adaptive Gauss-Kronrod 10/21 scheme
 with interval bisection, run on a batch of integrands at once; the scalar
-integrators are its one-integrand case.  All quadrature nodes are interior,
-so integrands may be singular (or merely undefined) at interval endpoints
-as long as the integral itself is finite.  Integrands must accept a 1-D
-ndarray of abscissae and return a same-shaped ndarray.
+integrators are its one-integrand case.  Quadrature nodes are interior, so
+integrands may be singular (or merely undefined) at interval endpoints as
+long as the integral itself is finite; a node that rounds onto t = 1 of the
+semi-infinite map (x = inf) counts 0 and is not evaluated.  Integrands must
+accept a 1-D ndarray of abscissae and return a same-shaped ndarray.
 
 Every integrand starts from the same fixed partition of its interval,
 ``START_PARTITION``: the pieces ``[0, 1/2], [1/2, 3/4], [3/4, 7/8],
@@ -276,8 +277,11 @@ def _unit_interval(f: Callable, lo) -> Callable:
         raise ValueError(f"lower limit must be finite, got {lo}")
 
     def mapped(t: np.ndarray, owner) -> np.ndarray:
-        one_minus = 1.0 - t
-        return f(lo[owner] + t / one_minus, owner) * (1.0 / one_minus ** 2)
+        # t = 1, a node rounded onto the end, is x = inf: it counts 0, and f sees a stand-in.
+        inside = t < 1.0
+        one_minus = np.where(inside, 1.0 - t, 1.0)
+        return np.where(inside, f(lo[owner] + t / one_minus, owner) * (1.0 / one_minus ** 2),
+                        0.0)
 
     return mapped
 

@@ -19,14 +19,12 @@ F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
 batch of adaptive quadratures over s = ln(y - gamma), which resolves every
 scale of y - gamma alike.  Outside [ln(gamma) - 40, ln(max(mean bound,
 gamma)) + 6] the integrand's share of F_eq is below double precision.
-``end_to_end_cdf`` checks its arguments once.  The F2(gamma) term, at the
-caller's own points, goes through each hop-2 law's public, checked
-``cdf``: one call per law per batch.  The integrand, at the quadrature's
-nodes, reads the hop laws' internal ``LawTable``s, which evaluate every
-link of the batch in one expression and check nothing, so no round makes a
-public call.  A gamma whose quadrature does not converge comes back as
-NaN; only ``end_to_end_cdf_grid``, which has no NaN to hand on, raises
-``ConvergenceError`` for it.
+``end_to_end_cdf`` checks its arguments once.  Both terms then read the hop
+laws' internal ``LawTable``s, which evaluate every link of the batch in one
+expression and check nothing: F2(gamma) at the caller's own points, the
+integrand at the quadrature's nodes.  So relay makes no public law call.
+A gamma whose quadrature does not converge comes back as NaN, from
+``end_to_end_cdf_grid`` as from ``end_to_end_cdf``.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .numerics import DEFAULT_CDF_TOL, integrate_batch
 
 __all__ = [
     "Combiner",
-    "ConvergenceError",
     "LinkScenario",
     "equivalent_snr",
     "end_to_end_cdf",
@@ -54,10 +51,6 @@ __all__ = [
 class Combiner(Enum):
     EXACT = "exact"
     HARMONIC = "harmonic"
-
-
-class ConvergenceError(RuntimeError):
-    """A result the caller cannot return as NaN did not converge."""
 
 
 @dataclass(frozen=True)
@@ -135,21 +128,12 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     return out.reshape(gamma.shape)
 
 
-def _hop2_cdf(laws: tuple, law: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """F2 of law ``laws[law[j]]`` at ``gamma[j]``: one public cdf call per law present."""
-    out = np.empty(gamma.shape)
-    for k in np.unique(law):
-        mine = law == k
-        out[mine] = laws[k].cdf(gamma[mine])
-    return out
-
-
 def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
                   combiner: Combiner, tol: float, floor: np.ndarray) -> np.ndarray:
     """F_eq at positive ``gamma[i]`` on link ``law[i]``, NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
-    # end_to_end_cdf has checked every input, so the integrand evaluates
-    # F1(threshold) * f2(y) straight from the parameter tables: one
+    # end_to_end_cdf has checked every input, so F2(gamma) and the integrand
+    # F1(threshold) * f2(y) come straight from the parameter tables: one
     # expression for all links, with no per-call checks.
     hop1, hop2 = LawTable(d1s), LawTable(d2s)
 
@@ -164,10 +148,12 @@ def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
     hi = np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = integrate_batch(integrand, lo, hi, tol, floor=floor)
-    raw = _hop2_cdf(d2s, law, gamma) + result.value
+    raw = hop2.cdf(gamma, law) + result.value
     value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
-    # NaN compares False, so only a converged value can report a clamp.
-    for i in np.flatnonzero(np.abs(raw - value) > 10.0 * tol * np.maximum(value, 1e-6)):
+    # NaN compares False, so only a converged value can report a clamp, and
+    # only by more than rounding: ten ulps of the value at least.
+    slack = 10.0 * np.maximum(tol * np.maximum(value, 1e-6), np.spacing(value))
+    for i in np.flatnonzero(np.abs(raw - value) > slack):
         warnings.warn(
             f"end-to-end CDF clamped from {float(raw[i])!r} to {float(value[i])!r} "
             f"at snr={float(gamma[i])!r}", RuntimeWarning)
@@ -179,8 +165,9 @@ def end_to_end_cdf_grid(d1: GammaSnr, d2: GammaSnr, grid,
                         tol: float = DEFAULT_CDF_TOL) -> np.ndarray:
     """``end_to_end_cdf`` over a strictly increasing grid, clamped monotone.
 
-    A table has no use for a NaN cell, so a grid point whose quadrature
-    does not converge raises ConvergenceError naming the first such point.
+    A grid point whose quadrature does not converge is NaN, as in
+    ``end_to_end_cdf``.  The clamp runs over the converged points only: a
+    NaN cell is neither filled in nor spread to the cells after it.
     """
     points = np.asarray(grid, dtype=float)
     if points.ndim != 1 or points.size == 0:
@@ -190,7 +177,4 @@ def end_to_end_cdf_grid(d1: GammaSnr, d2: GammaSnr, grid,
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise ValueError("grid must be strictly increasing")
     values = end_to_end_cdf(d1, d2, points, combiner, tol)
-    if np.isnan(values).any():
-        raise ConvergenceError("end-to-end CDF quadrature did not converge at "
-                               f"snr={points[np.argmax(np.isnan(values))]:g}")
-    return np.maximum.accumulate(values)
+    return np.where(np.isnan(values), np.nan, np.fmax.accumulate(values))

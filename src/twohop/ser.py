@@ -131,6 +131,8 @@ def _inner_floor(d1s, d2s) -> np.ndarray:
     """
     def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.exp(-u * u)
+        # The public, checked cdf per link: ser_sweep's only public law calls,
+        # which bench/test_bench.py's traced fading layer counts (ROADMAP item 4).
         for k in np.unique(owner):
             f1, f2 = d1s[k].cdf(u[owner == k] ** 2), d2s[k].cdf(u[owner == k] ** 2)
             out[owner == k] *= f1 + f2 - f1 * f2

@@ -228,17 +228,29 @@ def test_validate_reports_failures(mini_path, tmp_path, monkeypatch):
     assert "2 of 4 checks passed" in text
 
 
-def test_validate_unreachable_tolerance_exits_three(mini_path):
-    for argv, detail in [
-        (["validate", "--samples", "2000"], "did not converge"),
-        (["cdf", "--grid", "0.5,1,2", "--samples", "2000"], "snr=0.5"),
-    ]:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code, err = run_main(argv + ["--scenario", mini_path, "--tol", "1e-30"])
-        assert code == 3, argv
-        assert out.getvalue() == "", argv
-        assert "numerical non-convergence" in err and detail in err, argv
+def test_validate_unreachable_tolerance_exits_three(mini_path, tmp_path):
+    """cdf and validate write their tables with NaN cells, name each failure and exit 3."""
+    out = tmp_path / "cdf.csv"
+    code, err = run_main(["cdf", "--grid", "0,0.5,1", "--samples", "2000", "--scenario",
+                          mini_path, "--tol", "1e-30", "--out", str(out)])
+    assert code == 3
+    assert err == "twohop: quadrature did not converge at: gamma=0.5; gamma=1\n"
+    _, _, rows = read_rows(out)
+    assert [row.split(",")[1] for row in rows] == ["0.000000", "nan", "nan"]
+    assert out.read_text(encoding="utf-8").endswith("# max_abs_deviation: nan\n")
+
+    # a failed check outranks a merely failing one: exit 3, not 1
+    out = tmp_path / "report.txt"
+    code, err = run_main(["validate", "--samples", "2000", "--scenario", mini_path,
+                          "--tol", "1e-30", "--out", str(out)])
+    assert code == 3
+    assert err == ("twohop: quadrature did not converge at: "
+                   "end-to-end CDF max deviation (n=2000); "
+                   "SER rel. err. BPSK @ hop1 3 dB, hop2 2 dB\n")
+    failed = [line for line in out.read_text(encoding="utf-8").splitlines()
+              if "FAIL" in line]
+    assert len(failed) == 2
+    assert all(" observed            nan " in line for line in failed)
 
 
 def test_ser_sweep_nonconvergence_writes_nan_rows(tmp_path):

@@ -133,6 +133,21 @@ def test_relative_stopping_rule_finds_mass_a_billion_scales_out():
     assert abs(found.value - 1.0) < 1e-9
 
 
+def test_a_node_rounded_onto_infinity_never_reaches_the_integrand():
+    # At a bump 1e13 out, intervals near t = 1 shrink to a few ulps and a
+    # node rounds onto t = 1; it counts 0 instead of f(inf) / 0 = NaN.
+    infinite = []
+
+    def density(x):
+        infinite.append(bool(np.isinf(x).any()))
+        return _bump(1e13)(x)
+
+    found = integrate_semi_infinite(density, 0.0, 1e-8)
+    assert not any(infinite)
+    assert math.isfinite(found.value) and math.isfinite(found.error_estimate)
+    assert not found.converged or abs(found.value - 1.0) <= 1e-8
+
+
 def test_rule_integrates_polynomials_to_its_degree():
     # Gauss-Kronrod 10/21: the Kronrod rule is exact through degree 31,
     # its embedded Gauss rule (the odd-index nodes) through degree 19.

@@ -203,6 +203,13 @@ def test_sweep_records_failed_points_instead_of_aborting():
     assert np.all(np.isnan(ser))
 
 
+def test_ser_below_the_smallest_double_is_a_converged_zero():
+    """STBC_MRC 64x64, m = 100, at 30/30 dB: the SER is about e^(-3e4), so 0.0 is correctly rounded."""
+    hop = HopConfig(64, 64, 100.0, 1.0, CombiningScheme.STBC_MRC)
+    link = link_at(LinkScenario(hop, hop), 30.0, 30.0)
+    assert ser_sweep([link], [BPSK, PSK8, PSK16]).tolist() == [[0.0], [0.0], [0.0]]
+
+
 def test_stuck_integrand_leaves_the_rest_of_the_batch_alone(monkeypatch):
     import twohop.ser as ser_module
 
