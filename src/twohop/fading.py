@@ -25,6 +25,10 @@ from scipy import special
 
 __all__ = ["GammaSnr", "from_nakagami"]
 
+#: 2**-53, half the gap between 1 and the next double: a probability within
+#: it of 1 rounds to 1.
+UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def _as_array(snr):
     values = np.asarray(snr, dtype=float)
@@ -70,6 +74,21 @@ class LawTable:
          self.candidates, self.mean_bound) = (np.array(column) for column in zip(*rows))
         # A table without selection laws skips the powers, which are 1.
         self.selection = bool(np.any(self.candidates > 1))
+
+    def saturation(self) -> np.ndarray:
+        """Per row, an SNR from which on 1 - cdf <= ``UNIT_ROUNDOFF``, or inf.
+
+        1 - P**n <= n * (1 - P), so n * Q(k, x*rate) <= ``UNIT_ROUNDOFF``
+        suffices.  ``gammainccinv`` is asked for half of that, which absorbs
+        its misses of a few ulps, and the bound is checked as evaluated.  A
+        row that fails it (far outside the shapes a hop can have: at shape
+        1e-300 the inverse is 0) gets inf.
+        """
+        x = special.gammainccinv(self.shape, 0.5 * UNIT_ROUNDOFF / self.candidates) / self.rate
+        # NaN (0 * inf, at an infinite rate) fails the check
+        with np.errstate(invalid="ignore"):
+            survival = self.candidates * special.gammaincc(self.shape, x * self.rate)
+        return np.where(survival <= UNIT_ROUNDOFF, x, math.inf)
 
     def _base_cdf(self, x, law):
         return special.gammainc(self.shape[law], x * self.rate[law])

@@ -17,11 +17,25 @@ For the CDF at gamma, condition on the hop-2 SNR y:
 Hence F_eq(gamma) = F2(gamma) + integral over (gamma, inf) of
 F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
 batch of adaptive quadratures over s = ln(y - gamma), which resolves every
-scale of y - gamma alike.  Outside [ln(gamma) - 40, ln(max(mean bound,
-gamma)) + 6] the integrand's share of F_eq is below double precision.
+scale of y - gamma alike.  Below ln(gamma) - 40 and above ln(max(mean
+bound, gamma)) + 6 the integrand's share of F_eq is below double precision.
+
+The threshold falls from +inf towards gamma as y grows.  Past hop 1's
+saturation T*, where 1 - F1 <= UNIT_ROUNDOFF = 2**-53, F1 is 1 to double
+precision.  So a gamma >= T* has F_eq in [1 - 2**-53, 1] and gives 1 with no
+quadrature.  A smaller gamma has threshold(y) >= T* up to
+y* = gamma + gamma*(gamma + shift)/(T* - gamma), shift 1 (exact) or 0
+(harmonic), and that stretch adds F2(y*) - F2(gamma) to within
+2**-53 * F_eq.  Its quadrature starts at s = ln(y* - gamma), kept within
+[ln(gamma) - 40, ln(max(mean bound, gamma)) + 5], one below its upper end,
+and F2 is read at the start instead of at gamma (at gamma itself where the
+clip binds at ln(gamma) - 40).  Both terms stay positive, so nothing
+cancels in the deep tail.  The quadrature's relative tolerance still
+refers to the whole integral: F2(y*) - F2(gamma) joins its floor.
+
 ``end_to_end_cdf`` checks its arguments once.  Both terms then read the hop
 laws' internal ``LawTable``s, which evaluate every link of the batch in one
-expression and check nothing: F2(gamma) at the caller's own points, the
+expression and check nothing: F2 at the start of each quadrature, the
 integrand at the quadrature's nodes.  So relay makes no public law call.
 A gamma whose quadrature does not converge comes back as NaN, from
 ``end_to_end_cdf_grid`` as from ``end_to_end_cdf``.
@@ -89,7 +103,8 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
-    has its shape); snr = 0 gives 0 and snr = +inf gives 1.  ``d1`` and
+    has its shape); snr = 0 gives 0, and snr = +inf, or any snr from hop
+    1's saturation on, gives 1.  ``d1`` and
     ``d2`` are the hop laws, or, when ``law`` is given, two sequences of
     hop laws of one length, and ``law`` an integer array of ``snr``'s
     shape: element j lies on the link ``(d1[law[j]], d2[law[j]])``.  All
@@ -98,7 +113,9 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     element whose quadrature does not converge is NaN; the others are
     unaffected.  An element's quadrature stops at an error of
     ``tol * max(integral, floor)``, with ``floor`` nonnegative: one value,
-    or one per link when ``law`` is given.
+    or one per link when ``law`` is given.  The integral is the whole one,
+    over y > snr: its stretch where the hop-1 CDF is 1, which is not
+    integrated, counts as F2(y*) - F2(snr).
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -116,26 +133,30 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
             raise ValueError("law must be integers indexing d1 and d2, one per snr element")
         which = which.reshape(-1).astype(np.intp)
     floor = np.broadcast_to(np.asarray(floor, dtype=float), (len(d2s),))
+    if not np.all((0.0 <= floor) & (floor < np.inf)):
+        raise ValueError(f"floor must be nonnegative and finite, got {floor}")
     flat = gamma.reshape(-1)
-    # F_eq is 0 at gamma = 0 and 1 at gamma = +inf; only the rest need a quadrature.
-    out = np.where(flat == np.inf, 1.0, 0.0)
-    pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
+    # The arguments are checked, so both terms come straight from the
+    # parameter tables: one expression for all links, with no per-call checks.
+    hop1, hop2 = LawTable(d1s), LawTable(d2s)
+    # F_eq is 0 at gamma = 0, and 1 from hop 1's saturation T* on.
+    saturation = hop1.saturation()[which]
+    out = np.where(flat >= saturation, 1.0, 0.0)
+    pos = np.flatnonzero((flat > 0.0) & (flat < saturation))
     if pos.size:
-        out[pos] = _positive_cdf(d1s, d2s, which[pos], flat[pos], combiner, tol,
-                                 floor[which[pos]])
+        out[pos] = _positive_cdf(hop1, hop2, which[pos], flat[pos], saturation[pos],
+                                 combiner, tol, floor[which[pos]])
     if gamma.ndim == 0:
         return float(out[0])
     return out.reshape(gamma.shape)
 
 
-def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
-                  combiner: Combiner, tol: float, floor: np.ndarray) -> np.ndarray:
-    """F_eq at positive ``gamma[i]`` on link ``law[i]``, NaN where it did not converge."""
+def _positive_cdf(hop1: LawTable, hop2: LawTable, law: np.ndarray, gamma: np.ndarray,
+                  saturation: np.ndarray, combiner: Combiner, tol: float,
+                  floor: np.ndarray) -> np.ndarray:
+    """F_eq at ``gamma[i]`` in (0, ``saturation[i]``) on link ``law[i]``, NaN where it
+    did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
-    # end_to_end_cdf has checked every input, so F2(gamma) and the integrand
-    # F1(threshold) * f2(y) come straight from the parameter tables: one
-    # expression for all links, with no per-call checks.
-    hop1, hop2 = LawTable(d1s), LawTable(d2s)
 
     def integrand(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
         g = gamma[owner]
@@ -144,11 +165,19 @@ def _positive_cdf(d1s: tuple, d2s: tuple, law: np.ndarray, gamma: np.ndarray,
         link = law[owner]
         return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
 
-    lo = np.log(gamma) - 40.0
+    # On (gamma, y*] the threshold is at least T*, so F1 is 1 there: the
+    # quadrature starts at s = ln(y* - gamma), and F2 is read where it starts.
+    bottom = np.log(gamma) - 40.0
     hi = np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0
+    with np.errstate(divide="ignore"):
+        lo = np.clip(np.log(gamma * (gamma + shift) / (saturation - gamma)), bottom, hi - 1.0)
+    start = np.where(lo > bottom, gamma + np.exp(lo), gamma)
+    head = hop2.cdf(start, law)
+    # The stretch skipped still counts toward the integral that tol refers to.
+    floor = np.maximum(floor, head - hop2.cdf(gamma, law))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = integrate_batch(integrand, lo, hi, tol, floor=floor)
-    raw = hop2.cdf(gamma, law) + result.value
+    raw = head + result.value
     value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
     # NaN compares False, so only a converged value can report a clamp, and
     # only by more than rounding: ten ulps of the value at least.

@@ -268,10 +268,10 @@ def test_ser_sweep_nonconvergence_writes_nan_rows(tmp_path):
     assert rows[0].split(",")[8] == "nan"
 
 
-# The seed-410 op of bench/BASELINE.md at hop-2 5 and 10 dB.  With eight
-# intervals per inner CDF quadrature the 10 dB link has CDF elements that
-# cannot converge, and only its cells are NaN: no integral of the 5 dB link
-# asks for them.
+# The seed-410 op of bench/BASELINE.md, at hop-1 2 dB and hop-2 5 and 26 dB.
+# With seven intervals per inner CDF quadrature the 26 dB link has CDF
+# elements that cannot converge, and only its cells are NaN: no integral of
+# the 5 dB link asks for them.
 TAS_HARMONIC_SCENARIO = """\
 name = paper07
 case = CUSTOM
@@ -283,8 +283,8 @@ hop2_n_tx = 2
 hop2_n_rx = 1
 m = 0.5
 combiner = harmonic
-hop1_snr_db = 4.0
-hop2_sweep_db = 5:10:5
+hop1_snr_db = 2.0
+hop2_sweep_db = 5:26:21
 modulations = BPSK, PSK8, PSK16
 """
 TAS_HARMONIC_STDOUT = """\
@@ -292,22 +292,22 @@ TAS_HARMONIC_STDOUT = """\
 # scenario: paper07  case: CUSTOM  combiner: harmonic
 # tol: 1e-07
 case,modulation,n_s,n_r,n_d,m,hop1_snr_db,hop2_snr_db,ser_analytical
-CUSTOM,BPSK,2,2,1,0.5,4,5,0.0626076734299326
-CUSTOM,BPSK,2,2,1,0.5,4,10,nan
-CUSTOM,PSK8,2,2,1,0.5,4,5,0.4763857577801335
-CUSTOM,PSK8,2,2,1,0.5,4,10,nan
-CUSTOM,PSK16,2,2,1,0.5,4,5,0.7072714166763157
-CUSTOM,PSK16,2,2,1,0.5,4,10,nan
+CUSTOM,BPSK,2,2,1,0.5,2,5,0.07435167499846328
+CUSTOM,BPSK,2,2,1,0.5,2,26,nan
+CUSTOM,PSK8,2,2,1,0.5,2,5,0.5178955866394193
+CUSTOM,PSK8,2,2,1,0.5,2,26,nan
+CUSTOM,PSK16,2,2,1,0.5,2,5,0.7351644947387906
+CUSTOM,PSK16,2,2,1,0.5,2,26,nan
 """
-TAS_HARMONIC_STDERR = ("twohop: quadrature did not converge at: BPSK hop1=4 dB hop2=10 dB; "
-                       "PSK8 hop1=4 dB hop2=10 dB; PSK16 hop1=4 dB hop2=10 dB\n")
+TAS_HARMONIC_STDERR = ("twohop: quadrature did not converge at: BPSK hop1=2 dB hop2=26 dB; "
+                       "PSK8 hop1=2 dB hop2=26 dB; PSK16 hop1=2 dB hop2=26 dB\n")
 
 
 def test_ser_sweep_inner_nonconvergence_bytes(monkeypatch, tmp_path):
     import twohop.relay as relay_module
 
     monkeypatch.setattr(relay_module, "integrate_batch",
-                        functools.partial(relay_module.integrate_batch, max_intervals=8))
+                        functools.partial(relay_module.integrate_batch, max_intervals=7))
     path = tmp_path / "tas_harmonic.scenario"
     path.write_text(TAS_HARMONIC_SCENARIO, encoding="utf-8")
     out = io.StringIO()
@@ -412,8 +412,8 @@ def test_compare_cases_work_stays_within_its_counted_budget(monkeypatch, tmp_pat
     code, _ = run_main(["compare-cases", "--n", "3", "--modulations", "BPSK,PSK8,PSK16",
                         "--out", str(tmp_path / "cmp.csv")])
     assert code == 0
-    assert len(calls) <= 11
-    assert sum(intervals) <= 78_304
+    assert len(calls) <= 9
+    assert sum(intervals) <= 41_114
 
 
 @pytest.mark.parametrize("argv, field", [

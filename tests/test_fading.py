@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
-from twohop.fading import GammaSnr, from_nakagami
+from twohop.fading import UNIT_ROUNDOFF, GammaSnr, LawTable, from_nakagami
 from twohop.numerics import integrate_finite
 
 
@@ -186,3 +187,18 @@ def test_max_of_one_is_base_law():
     g = np.linspace(0.0, 20.0, 15)
     assert np.allclose(trivial.cdf(g), base.cdf(g), atol=1e-15)
     assert np.allclose(trivial.pdf(g), base.pdf(g), atol=1e-15)
+
+
+def test_saturation_leaves_at_most_unit_roundoff_above_it():
+    # shapes from m = 0.5 on one branch to m = 100 on 64 x 64 antennas,
+    # means from -30 to 50 dB, and every candidate count a hop can have
+    shapes = np.geomspace(0.5, 409_600.0, 120)
+    means = np.geomspace(1e-3, 1e5, shapes.size)
+    for n in range(1, 65):
+        table = LawTable([GammaSnr(k, mean, n) for k, mean in zip(shapes, means)])
+        x = table.saturation() * table.rate
+        assert np.all(n * special.gammaincc(shapes, x) <= UNIT_ROUNDOFF), n
+        # and not far above it: 3% lower, the bound no longer holds
+        assert np.all(n * special.gammaincc(shapes, 0.97 * x) > UNIT_ROUNDOFF), n
+    # where gammainccinv misses by far (it gives 0 at shape 1e-300), there is none
+    assert LawTable([GammaSnr(1e-300, 1.0)]).saturation().tolist() == [math.inf]

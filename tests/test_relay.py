@@ -8,9 +8,12 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twohop.diversity import CombiningScheme, HopConfig
-from twohop.fading import GammaSnr
+from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
+from twohop.fading import UNIT_ROUNDOFF, GammaSnr, LawTable
+from twohop.numerics import integrate_batch
 from twohop.relay import (
     Combiner,
     LinkScenario,
@@ -208,17 +211,27 @@ def test_clamp_of_a_real_overshoot_warns(monkeypatch):
 
     monkeypatch.setattr(relay_module, "integrate_batch", overshooting)
     with pytest.warns(RuntimeWarning, match="clamped from 1.000001"):
-        assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 1e3) == 1.0
+        assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 200.0) == 1.0
 
 
 def test_clamp_of_a_rounding_overshoot_is_silent():
-    """At tol 1e-15 the inner CDFs overshoot 1 by one and two ulps, and say nothing."""
-    link = LinkScenario(HopConfig(2, 2, 1.0, 10 ** 0.3, CombiningScheme.STBC_MRC),
-                        HopConfig(2, 2, 1.0, 10.0, CombiningScheme.STBC_MRC))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ser, = ser_sweep([link], [PskModulation(2)], 1e-15)[0]
-    assert 0.0 < ser < 1.0
+    """Inner CDFs that overshoot 1 by rounding say nothing, and the SER converges.
+
+    The 2x2 STBC_MRC link at 3/10 dB, tol 1e-15, overshot by one and two
+    ulps while its inner quadratures started at ln(gamma) - 40.  The 2x3
+    link at 0/13 dB, tol 1e-13, overshoots by one and two ulps with the
+    start at hop 1's saturation.
+    """
+    for link, tol in [
+        (LinkScenario(HopConfig(2, 2, 1.0, 10 ** 0.3, CombiningScheme.STBC_MRC),
+                      HopConfig(2, 2, 1.0, 10.0, CombiningScheme.STBC_MRC)), 1e-15),
+        (LinkScenario(HopConfig(2, 2, 1.0, 1.0, CombiningScheme.STBC_MRC),
+                      HopConfig(2, 3, 1.0, 10 ** 1.3, CombiningScheme.STBC_MRC)), 1e-13),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ser, = ser_sweep([link], [PskModulation(2)], tol)[0]
+        assert 0.0 < ser < 1.0, tol
 
 
 BATCH_LAWS = [
@@ -294,7 +307,7 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
         return real_batch(f, *args, **kwargs)
 
     monkeypatch.setattr(relay_module, "integrate_batch", capturing_batch)
-    gamma = np.array([1e-6, 0.05, 0.4, 2.0, 7.0, 30.0])
+    gamma = np.array([1e-6, 0.05, 0.4, 2.0, 4.0, 5.5])  # below every hop-1 saturation
     law = np.arange(len(TABLE_LAWS))
     d1s = d1 if isinstance(d1, list) else [d1] * len(TABLE_LAWS)
     end_to_end_cdf(d1s, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
@@ -391,13 +404,13 @@ def test_array_call_rejects_negative_or_nan_elements(bad):
 
 
 def test_one_nonconvergent_element_is_nan_alone(monkeypatch):
-    # With eight intervals per quadrature, gamma 1e-6 on two 50 dB Rayleigh
+    # With seven intervals per quadrature, gamma 1e-6 on two 50 dB Rayleigh
     # hops runs out of them before it meets the tolerance, while its
     # neighbours converge
     import twohop.relay as relay_module
 
     monkeypatch.setattr(relay_module, "integrate_batch",
-                        functools.partial(relay_module.integrate_batch, max_intervals=8))
+                        functools.partial(relay_module.integrate_batch, max_intervals=7))
     hop = GammaSnr(shape=1.0, mean=1e5)
     assert math.isnan(end_to_end_cdf(hop, hop, 1e-6))
     points = np.array([1.0, 1e-6, 3.0])
@@ -407,6 +420,74 @@ def test_one_nonconvergent_element_is_nan_alone(monkeypatch):
     assert np.isnan(end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, np.array([0.5, 1.0]),
                                    tol=1e-30)).all()
 
+
+def _hop_law(scheme: CombiningScheme, m: float, n_tx: int, n_rx: int, db: float) -> GammaSnr:
+    """The hop law of ``scheme``, with the antenna counts it allows."""
+    n_tx = 1 if scheme is CombiningScheme.MRC else n_tx
+    n_rx = 1 if scheme is CombiningScheme.STBC else n_rx
+    return effective_distribution(HopConfig(n_tx, n_rx, m, 10.0 ** (db / 10.0), scheme))
+
+
+HOP_LAWS = st.builds(_hop_law, st.sampled_from(CombiningScheme), st.floats(0.5, 5.0),
+                     st.integers(1, 4), st.integers(1, 4), st.floats(-10.0, 50.0))
+
+
+def _uncut_cdf(d1: GammaSnr, d2: GammaSnr, gamma: float, combiner: Combiner,
+               tol: float) -> tuple[float, bool]:
+    """F2(gamma) plus the inner integral over all of [ln(gamma) - 40, hi], by public law calls."""
+    shift = 1.0 if combiner is Combiner.EXACT else 0.0
+
+    def integrand(s, _):
+        gap = np.exp(s)
+        y = gamma + gap
+        return d1.cdf(gamma * (y + shift) / gap) * d2.pdf(y) * gap
+
+    hi = math.log(max(d2.mean * d2.candidates, gamma)) + 6.0
+    with np.errstate(over="ignore"):
+        result = integrate_batch(integrand, math.log(gamma) - 40.0, hi, tol)
+    return d2.cdf(gamma) + float(result.value[0]), bool(result.converged[0])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(d1=HOP_LAWS, d2=HOP_LAWS, combiner=st.sampled_from(Combiner),
+       log_gamma=st.floats(-6.0, 4.0))
+def test_the_cut_at_the_hop1_saturation_matches_the_uncut_integral(d1, d2, combiner,
+                                                                   log_gamma):
+    # Each quadrature errs by at most tol times its integral, and both
+    # integrals are at most F_eq; the stretch the cut drops is below
+    # UNIT_ROUNDOFF * F_eq.
+    gamma, tol = 10.0 ** log_gamma, 1e-9
+    uncut, converged = _uncut_cdf(d1, d2, gamma, combiner, tol)
+    assume(converged)
+    cut = end_to_end_cdf(d1, d2, gamma, combiner, tol)
+    assert abs(cut - min(uncut, 1.0)) <= (2.0 * tol + UNIT_ROUNDOFF) * uncut
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1, d2", BATCH_LAWS)
+def test_from_the_hop1_saturation_on_the_cdf_is_one(d1, d2, combiner):
+    saturation = float(LawTable([d1]).saturation()[0])
+    points = np.array([saturation, 2.0 * saturation])
+    assert end_to_end_cdf(d1, d2, points, combiner).tolist() == [1.0, 1.0]
+    # 1 - F_eq(T*), the integral over y > T* of P{g1 > threshold(y)} f2(y),
+    # from mpmath at 30 digits, is at most UNIT_ROUNDOFF
+    shift = 1 if combiner is Combiner.EXACT else 0
+    with mpmath.workdps(30):
+        g = mpmath.mpf(saturation)
+        k1, rate1, n1 = mpmath.mpf(d1.shape), d1.shape / mpmath.mpf(d1.mean), d1.candidates
+        k2, rate2, n2 = mpmath.mpf(d2.shape), d2.shape / mpmath.mpf(d2.mean), d2.candidates
+
+        def above(y):
+            survival = mpmath.gammainc(k1, rate1 * g * (y + shift) / (y - g), mpmath.inf,
+                                       regularized=True)
+            density = (n2 * mpmath.gammainc(k2, 0, rate2 * y, regularized=True) ** (n2 - 1)
+                       * rate2 * mpmath.exp((k2 - 1) * mpmath.log(rate2 * y) - rate2 * y
+                                            - mpmath.loggamma(k2)))
+            return -mpmath.expm1(n1 * mpmath.log1p(-survival)) * density
+
+        spread = d2.mean * n2
+        complement = mpmath.quad(above, [g, g + spread, g + 10 * spread, mpmath.inf])
+    assert 0.0 < float(complement) <= UNIT_ROUNDOFF
 
 def test_link_scenario_checks_relay_antennas():
     hop1 = HopConfig(2, 3, 1.0, 1.0, CombiningScheme.STBC_MRC)
