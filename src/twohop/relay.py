@@ -17,21 +17,33 @@ For the CDF at gamma, condition on the hop-2 SNR y:
 Hence F_eq(gamma) = F2(gamma) + integral over (gamma, inf) of
 F1(threshold(y)) * f2(y) dy, evaluated for every requested gamma as one
 batch of adaptive quadratures over s = ln(y - gamma), which resolves every
-scale of y - gamma alike.  Below ln(gamma) - 40 and above ln(max(mean
-bound, gamma)) + 6 the integrand's share of F_eq is below double precision.
+scale of y - gamma alike.  Below ln(gamma) - 40 the integrand's share of F_eq
+is below double precision.
 
 The threshold falls from +inf towards gamma as y grows.  Past hop 1's
-saturation T*, where 1 - F1 <= UNIT_ROUNDOFF = 2**-53, F1 is 1 to double
-precision.  So a gamma >= T* has F_eq in [1 - 2**-53, 1] and gives 1 with no
-quadrature.  A smaller gamma has threshold(y) >= T* up to
-y* = gamma + gamma*(gamma + shift)/(T* - gamma), shift 1 (exact) or 0
+saturation T1*, where 1 - F1 <= UNIT_ROUNDOFF = 2**-53, F1 is 1 to double
+precision.  So a gamma >= T1* has F_eq in [1 - 2**-53, 1] and gives 1 with no
+quadrature.  A smaller gamma has threshold(y) >= T1* up to
+y* = gamma + gamma*(gamma + shift)/(T1* - gamma), shift 1 (exact) or 0
 (harmonic), and that stretch adds F2(y*) - F2(gamma) to within
 2**-53 * F_eq.  Its quadrature starts at s = ln(y* - gamma), kept within
-[ln(gamma) - 40, ln(max(mean bound, gamma)) + 5], one below its upper end,
-and F2 is read at the start instead of at gamma (at gamma itself where the
-clip binds at ln(gamma) - 40).  Both terms stay positive, so nothing
-cancels in the deep tail.  The quadrature's relative tolerance still
-refers to the whole integral: F2(y*) - F2(gamma) joins its floor.
+[ln(gamma) - 40, hi - 1], one below its upper end hi, and F2 is read at the
+start instead of at gamma (at gamma itself where the clip binds at
+ln(gamma) - 40).  Both terms stay positive, so nothing cancels in the deep
+tail.  The quadrature's relative tolerance still refers to the whole
+integral: F2(y*) - F2(gamma) joins its floor.
+
+The top mirrors the start.  From hop 2's saturation T2* on, 1 - F2 <= 2**-53,
+so a gamma >= T2* has F_eq >= F2(gamma) >= 1 - 2**-53 and gives 1 too.  A
+smaller gamma ends its quadrature at hi = ln(T2* - gamma), or at
+ln(max(mean bound, gamma)) + 6 where that comes first (always where T2* is
+inf).  The threshold decreases in y, so the part dropped above T2* is at
+most 2**-53 * F1(threshold(T2*)).  If F2(gamma) <= 1/2, F_eq is at least
+F1(threshold(T2*)) * (F2(T2*) - F2(gamma)), about F1(threshold(T2*)) / 2;
+otherwise F_eq > 1/2.  Either way the drop is within about 2**-52 * F_eq.
+A double gamma below T2* lies at least one ulp, gamma * 2**-53, below it, so
+hi stays above ln(gamma) - 37 and the clip of the start to
+[ln(gamma) - 40, hi - 1] never inverts.
 
 ``end_to_end_cdf`` checks its arguments once.  Both terms then read the hop
 laws' internal ``LawTable``s, which evaluate every link of the batch in one
@@ -103,9 +115,8 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
-    has its shape); snr = 0 gives 0, and snr = +inf, or any snr from hop
-    1's saturation on, gives 1.  ``d1`` and
-    ``d2`` are the hop laws, or, when ``law`` is given, two sequences of
+    has its shape); snr = 0 gives 0, and snr = +inf, or any snr from
+    either hop's saturation on, gives 1.  ``d1`` and ``d2`` are the hop laws, or, when ``law`` is given, two sequences of
     hop laws of one length, and ``law`` an integer array of ``snr``'s
     shape: element j lies on the link ``(d1[law[j]], d2[law[j]])``.  All
     elements run as one batch of inner quadratures, and each value is
@@ -115,7 +126,8 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     ``tol * max(integral, floor)``, with ``floor`` nonnegative: one value,
     or one per link when ``law`` is given.  The integral is the whole one,
     over y > snr: its stretch where the hop-1 CDF is 1, which is not
-    integrated, counts as F2(y*) - F2(snr).
+    integrated, counts as F2(y*) - F2(snr); its stretch past hop 2's
+    saturation, which adds less than double precision, is left out.
     """
     gamma = np.asarray(snr, dtype=float)
     if not np.all(gamma >= 0.0):
@@ -139,12 +151,12 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
     # The arguments are checked, so both terms come straight from the
     # parameter tables: one expression for all links, with no per-call checks.
     hop1, hop2 = LawTable(d1s), LawTable(d2s)
-    # F_eq is 0 at gamma = 0, and 1 from hop 1's saturation T* on.
-    saturation = hop1.saturation()[which]
-    out = np.where(flat >= saturation, 1.0, 0.0)
-    pos = np.flatnonzero((flat > 0.0) & (flat < saturation))
+    # F_eq is 0 at gamma = 0, and 1 from either hop's saturation on.
+    first, second = hop1.saturation()[which], hop2.saturation()[which]
+    out = np.where(flat >= np.minimum(first, second), 1.0, 0.0)
+    pos = np.flatnonzero((flat > 0.0) & (out == 0.0))
     if pos.size:
-        out[pos] = _positive_cdf(hop1, hop2, which[pos], flat[pos], saturation[pos],
+        out[pos] = _positive_cdf(hop1, hop2, which[pos], flat[pos], first[pos], second[pos],
                                  combiner, tol, floor[which[pos]])
     if gamma.ndim == 0:
         return float(out[0])
@@ -152,10 +164,10 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
 
 
 def _positive_cdf(hop1: LawTable, hop2: LawTable, law: np.ndarray, gamma: np.ndarray,
-                  saturation: np.ndarray, combiner: Combiner, tol: float,
+                  first: np.ndarray, second: np.ndarray, combiner: Combiner, tol: float,
                   floor: np.ndarray) -> np.ndarray:
-    """F_eq at ``gamma[i]`` in (0, ``saturation[i]``) on link ``law[i]``, NaN where it
-    did not converge."""
+    """F_eq at ``gamma[i]`` on link ``law[i]``, below both hops' saturations ``first[i]``
+    and ``second[i]``, NaN where it did not converge."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
 
     def integrand(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -165,12 +177,14 @@ def _positive_cdf(hop1: LawTable, hop2: LawTable, law: np.ndarray, gamma: np.nda
         link = law[owner]
         return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
 
-    # On (gamma, y*] the threshold is at least T*, so F1 is 1 there: the
+    # On (gamma, y*] the threshold is at least T1*, so F1 is 1 there: the
     # quadrature starts at s = ln(y* - gamma), and F2 is read where it starts.
+    # Past T2* less than 2**-53 of the hop-2 mass is left, so it ends there.
     bottom = np.log(gamma) - 40.0
-    hi = np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0
+    hi = np.minimum(np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0,
+                    np.log(second - gamma))
     with np.errstate(divide="ignore"):
-        lo = np.clip(np.log(gamma * (gamma + shift) / (saturation - gamma)), bottom, hi - 1.0)
+        lo = np.clip(np.log(gamma * (gamma + shift) / (first - gamma)), bottom, hi - 1.0)
     start = np.where(lo > bottom, gamma + np.exp(lo), gamma)
     head = hop2.cdf(start, law)
     # The stretch skipped still counts toward the integral that tol refers to.

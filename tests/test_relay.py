@@ -1,6 +1,5 @@
 """End-to-end equivalent SNR: pointwise combiner and CDF quadrature."""
 
-import functools
 import math
 import warnings
 from dataclasses import replace
@@ -214,24 +213,44 @@ def test_clamp_of_a_real_overshoot_warns(monkeypatch):
         assert end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, 200.0) == 1.0
 
 
-def test_clamp_of_a_rounding_overshoot_is_silent():
+def test_clamp_of_a_rounding_overshoot_is_silent(monkeypatch):
     """Inner CDFs that overshoot 1 by rounding say nothing, and the SER converges.
 
     The 2x2 STBC_MRC link at 3/10 dB, tol 1e-15, overshot by one and two
-    ulps while its inner quadratures started at ln(gamma) - 40.  The 2x3
-    link at 0/13 dB, tol 1e-13, overshoots by one and two ulps with the
-    start at hop 1's saturation.
+    ulps while its inner quadratures started at ln(gamma) - 40; it stays as
+    a guard that the SER converges there.  The 2x3 link at 0/13 dB, tol
+    1e-13, overshoots by one ulp with both cuts.
     """
-    for link, tol in [
+    import twohop.relay as relay_module
+
+    overshoots = []
+
+    class RecordingNumpy:
+        """relay's numpy, whose clip into [0, 1] records the values it lowers."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def clip(a, a_min, a_max):
+            if np.isscalar(a_max) and a_max == 1.0:
+                overshoots.extend(a[a > 1.0].tolist())
+            return np.clip(a, a_min, a_max)
+
+    monkeypatch.setattr(relay_module, "np", RecordingNumpy())
+    for link, tol, must_overshoot in [
         (LinkScenario(HopConfig(2, 2, 1.0, 10 ** 0.3, CombiningScheme.STBC_MRC),
-                      HopConfig(2, 2, 1.0, 10.0, CombiningScheme.STBC_MRC)), 1e-15),
+                      HopConfig(2, 2, 1.0, 10.0, CombiningScheme.STBC_MRC)), 1e-15, False),
         (LinkScenario(HopConfig(2, 2, 1.0, 1.0, CombiningScheme.STBC_MRC),
-                      HopConfig(2, 3, 1.0, 10 ** 1.3, CombiningScheme.STBC_MRC)), 1e-13),
+                      HopConfig(2, 3, 1.0, 10 ** 1.3, CombiningScheme.STBC_MRC)), 1e-13, True),
     ]:
+        overshoots.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ser, = ser_sweep([link], [PskModulation(2)], tol)[0]
         assert 0.0 < ser < 1.0, tol
+        if must_overshoot:
+            assert overshoots and max(overshoots) <= 1.0 + 4.0 * UNIT_ROUNDOFF, overshoots
 
 
 BATCH_LAWS = [
@@ -403,14 +422,10 @@ def test_array_call_rejects_negative_or_nan_elements(bad):
         end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, bad)
 
 
-def test_one_nonconvergent_element_is_nan_alone(monkeypatch):
-    # With seven intervals per quadrature, gamma 1e-6 on two 50 dB Rayleigh
-    # hops runs out of them before it meets the tolerance, while its
-    # neighbours converge
-    import twohop.relay as relay_module
-
-    monkeypatch.setattr(relay_module, "integrate_batch",
-                        functools.partial(relay_module.integrate_batch, max_intervals=7))
+def test_one_nonconvergent_element_is_nan_alone(fail_inner_quadratures):
+    # gamma 1e-6 on two 50 dB Rayleigh hops fails, while its neighbours
+    # converge; then a tolerance out of reach fails every element for real
+    fail_inner_quadratures(lambda mean, gamma: gamma == 1e-6)
     hop = GammaSnr(shape=1.0, mean=1e5)
     assert math.isnan(end_to_end_cdf(hop, hop, 1e-6))
     points = np.array([1.0, 1e-6, 3.0])
@@ -434,7 +449,8 @@ HOP_LAWS = st.builds(_hop_law, st.sampled_from(CombiningScheme), st.floats(0.5, 
 
 def _uncut_cdf(d1: GammaSnr, d2: GammaSnr, gamma: float, combiner: Combiner,
                tol: float) -> tuple[float, bool]:
-    """F2(gamma) plus the inner integral over all of [ln(gamma) - 40, hi], by public law calls."""
+    """F2(gamma) plus the inner integral over all of [ln(gamma) - 40, ln(max(mean bound,
+    gamma)) + 6], by public law calls."""
     shift = 1.0 if combiner is Combiner.EXACT else 0.0
 
     def integrand(s, _):
@@ -451,29 +467,24 @@ def _uncut_cdf(d1: GammaSnr, d2: GammaSnr, gamma: float, combiner: Combiner,
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(d1=HOP_LAWS, d2=HOP_LAWS, combiner=st.sampled_from(Combiner),
        log_gamma=st.floats(-6.0, 4.0))
-def test_the_cut_at_the_hop1_saturation_matches_the_uncut_integral(d1, d2, combiner,
-                                                                   log_gamma):
+def test_the_cuts_at_both_saturations_match_the_uncut_integral(d1, d2, combiner, log_gamma):
     # Each quadrature errs by at most tol times its integral, and both
-    # integrals are at most F_eq; the stretch the cut drops is below
-    # UNIT_ROUNDOFF * F_eq.
+    # integrals are at most F_eq; the stretch the cut at hop 1's saturation
+    # drops is below UNIT_ROUNDOFF * F_eq, and the one past hop 2's below
+    # about 2 * UNIT_ROUNDOFF * F_eq.
     gamma, tol = 10.0 ** log_gamma, 1e-9
     uncut, converged = _uncut_cdf(d1, d2, gamma, combiner, tol)
     assume(converged)
     cut = end_to_end_cdf(d1, d2, gamma, combiner, tol)
-    assert abs(cut - min(uncut, 1.0)) <= (2.0 * tol + UNIT_ROUNDOFF) * uncut
+    assert abs(cut - min(uncut, 1.0)) <= (2.0 * tol + 3.0 * UNIT_ROUNDOFF) * uncut
 
 
-@pytest.mark.parametrize("combiner", list(Combiner))
-@pytest.mark.parametrize("d1, d2", BATCH_LAWS)
-def test_from_the_hop1_saturation_on_the_cdf_is_one(d1, d2, combiner):
-    saturation = float(LawTable([d1]).saturation()[0])
-    points = np.array([saturation, 2.0 * saturation])
-    assert end_to_end_cdf(d1, d2, points, combiner).tolist() == [1.0, 1.0]
-    # 1 - F_eq(T*), the integral over y > T* of P{g1 > threshold(y)} f2(y),
-    # from mpmath at 30 digits, is at most UNIT_ROUNDOFF
+def _complement(d1: GammaSnr, d2: GammaSnr, gamma: float, combiner: Combiner):
+    """1 - F_eq(gamma), the integral over y > gamma of P{g1 > threshold(y)} f2(y),
+    from mpmath at 30 digits."""
     shift = 1 if combiner is Combiner.EXACT else 0
     with mpmath.workdps(30):
-        g = mpmath.mpf(saturation)
+        g = mpmath.mpf(gamma)
         k1, rate1, n1 = mpmath.mpf(d1.shape), d1.shape / mpmath.mpf(d1.mean), d1.candidates
         k2, rate2, n2 = mpmath.mpf(d2.shape), d2.shape / mpmath.mpf(d2.mean), d2.candidates
 
@@ -486,8 +497,62 @@ def test_from_the_hop1_saturation_on_the_cdf_is_one(d1, d2, combiner):
             return -mpmath.expm1(n1 * mpmath.log1p(-survival)) * density
 
         spread = d2.mean * n2
-        complement = mpmath.quad(above, [g, g + spread, g + 10 * spread, mpmath.inf])
-    assert 0.0 < float(complement) <= UNIT_ROUNDOFF
+        return mpmath.quad(above, [g, g + spread, g + 10 * spread, mpmath.inf])
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1, d2", BATCH_LAWS)
+def test_from_the_hop1_saturation_on_the_cdf_is_one(d1, d2, combiner):
+    saturation = float(LawTable([d1]).saturation()[0])
+    points = np.array([saturation, 2.0 * saturation])
+    assert end_to_end_cdf(d1, d2, points, combiner).tolist() == [1.0, 1.0]
+    assert 0.0 < float(_complement(d1, d2, saturation, combiner)) <= UNIT_ROUNDOFF
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1, d2", BATCH_LAWS)
+def test_from_the_hop2_saturation_on_the_cdf_is_one(monkeypatch, d1, d2, combiner):
+    import twohop.relay as relay_module
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran at or past hop 2's saturation")
+
+    saturation = float(LawTable([d2]).saturation()[0])
+    points = np.array([saturation, 2.0 * saturation])
+    monkeypatch.setattr(relay_module, "integrate_batch", no_quadrature)
+    assert end_to_end_cdf(d1, d2, points, combiner).tolist() == [1.0, 1.0]
+    # compared in mpmath: where T2* lies far past T1*, the complement is
+    # below the smallest double
+    assert 0 < _complement(d1, d2, saturation, combiner) <= UNIT_ROUNDOFF
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("d1, d2", BATCH_LAWS + [pair[::-1] for pair in BATCH_LAWS])
+def test_one_ulp_below_the_hop2_saturation_the_quadrature_is_sound(monkeypatch, d1, d2,
+                                                                   combiner):
+    # The closest a gamma gets to T2* from below: the quadrature's end,
+    # ln(T2* - gamma), is then lowest relative to ln(gamma), and its start
+    # must still lie within [ln(gamma) - 40, end).
+    import twohop.relay as relay_module
+
+    intervals = []
+    real_batch = relay_module.integrate_batch
+
+    def recording_batch(f, lo, hi, *args, **kwargs):
+        intervals.append((lo, hi))
+        return real_batch(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(relay_module, "integrate_batch", recording_batch)
+    gamma = math.nextafter(float(LawTable([d2]).saturation()[0]), 0.0)
+    value = end_to_end_cdf(d1, d2, gamma, combiner)
+    assert 1.0 - 2.0 * UNIT_ROUNDOFF <= value <= 1.0
+    assert value >= d2.cdf(gamma)
+    # a quadrature runs unless gamma is past hop 1's saturation too
+    assert len(intervals) == (gamma < LawTable([d1]).saturation()[0])
+    for lo, hi in intervals:
+        assert np.all(np.isfinite(lo) & np.isfinite(hi))
+        assert np.all((math.log(gamma) - 40.0 <= lo) & (lo < hi))
+
 
 def test_link_scenario_checks_relay_antennas():
     hop1 = HopConfig(2, 3, 1.0, 1.0, CombiningScheme.STBC_MRC)

@@ -1,6 +1,5 @@
 """Symbol error rates: kernel constants, the CDF-form integral, sweeps."""
 
-import functools
 import math
 from dataclasses import replace
 
@@ -247,26 +246,21 @@ def _tas_harmonic_link() -> LinkScenario:
                         Combiner.HARMONIC)
 
 
-def _starve_inner_quadratures(monkeypatch):
-    """Seven intervals per inner CDF quadrature.
-
-    On the TAS link at hop-1 2 dB, hop-2 5 dB converges within them; at
-    26 dB the elements near gamma = 0.5 ... 1.1 do not.
-    """
-    import twohop.relay as relay_module
-
-    monkeypatch.setattr(relay_module, "integrate_batch",
-                        functools.partial(relay_module.integrate_batch, max_intervals=7))
+def _fail_near_one_on_the_far_link(mean, gamma):
+    """On the TAS link at hop-1 2 dB, the inner CDF elements near gamma = 0.5 ... 1.1
+    of the hop-2 26 dB link (hop-2 mean bound 796), not of the 5 dB one (6.3)."""
+    return (mean > 100.0) & (0.5 <= gamma) & (gamma <= 1.1)
 
 
-def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch):
+def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch,
+                                                                   fail_inner_quadratures):
     import twohop.ser as ser_module
 
     link = _tas_harmonic_link()
     mods = (BPSK, PSK8, PSK16)
     grid = [5.0, 26.0]
-    unstarved = ser_sweep(links_at(link, 2.0, grid), mods)
-    _starve_inner_quadratures(monkeypatch)
+    clean = ser_sweep(links_at(link, 2.0, grid), mods)
+    fail_inner_quadratures(_fail_near_one_on_the_far_link)
     stuck = []
 
     def recording_cdf(d1, d2, snr, *args, law, **kwargs):
@@ -278,7 +272,7 @@ def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch)
     ser = ser_sweep(links_at(link, 2.0, grid), mods)
     assert np.isnan(ser).tolist() == [[False, True]] * 3
     # the integrals of the 5 dB link ask nothing of the 26 dB one
-    assert ser[:, 0].tolist() == unstarved[:, 0].tolist()
+    assert ser[:, 0].tolist() == clean[:, 0].tolist()
     assert stuck
     assert all(law == 1 and 0.5 < g < 1.1 for law, g in stuck)
     monkeypatch.setattr(ser_module, "end_to_end_cdf", end_to_end_cdf)
@@ -331,7 +325,8 @@ def test_sweep_equals_stacked_single_point_sweeps(combiner):
     assert np.array_equal(swept, single, equal_nan=True)
 
 
-def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scenario_dir):
+def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scenario_dir,
+                                                               fail_inner_quadratures):
     import twohop.ser as ser_module
 
     requests = []
@@ -358,13 +353,13 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     mimo_n3 = links_at(scenario.link(), scenario.hop1_snr_db[0], scenario.sweep.values())
     tas = links_at(_tas_harmonic_link(), 2.0, [5.0, 26.0])
-    # starved, the 26 dB link has inner CDF elements that cannot converge:
+    # failing, the 26 dB link has inner CDF elements that do not converge:
     # each retires its integrand in the round that meets it, so nothing
     # asks for it again and that integrand adds no round of its own
-    for links, mods, starved, lost, rounds in [(mimo_n3, scenario.modulations, False, 0, 2),
+    for links, mods, failing, lost, rounds in [(mimo_n3, scenario.modulations, False, 0, 2),
                                                (tas, (BPSK, PSK8, PSK16), True, 3, 2)]:
-        if starved:
-            _starve_inner_quadratures(monkeypatch)
+        if failing:
+            fail_inner_quadratures(_fail_near_one_on_the_far_link)
         requests.clear()
         batches.clear()
         ser = ser_sweep(links, mods)
@@ -399,8 +394,8 @@ def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
     ser = ser_sweep([scenario.link_at(2.0, db) for db in scenario.sweep.values()],
                     scenario.modulations)
     assert ser.shape == (3, 21) and np.isfinite(ser).all()
-    assert len(calls) <= 9
-    assert sum(intervals) <= 21_506
+    assert len(calls) <= 7
+    assert sum(intervals) <= 11_886
 
 
 def test_quantile_spot_check_against_conditional_sep():
