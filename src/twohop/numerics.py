@@ -21,6 +21,12 @@ Each integrand ends either converged, once its error estimate is at most
 ``floor``), or not: one that runs out of room retires with its best
 estimate and ``converged=False`` while the rest of the batch goes on.
 Callers turn that flag into NaN; nothing here raises on non-convergence.
+
+Each refinement round ranks an integrand's splittable intervals by error,
+largest first, and bisects those above an equal share of half its
+remaining error budget: at least one, and at most what ``max_intervals``
+leaves room for, the earlier of two equal errors first.  Results are
+written once, in the round an integrand retires.
 """
 
 from __future__ import annotations
@@ -144,14 +150,13 @@ def _apply_rule(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return vals, errs
 
 
-def _first_max_per_owner(owner: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Index of the first largest ``key`` among each owner's entries, owner by owner.
-
-    A stable sort by owner, then by descending key, puts that entry first
-    in its owner's run.
-    """
-    order = np.lexsort((-key, owner))
-    return order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+def _pick_splits(owner, errs, splittable, threshold, room):
+    """Mask of the intervals to bisect (module docstring); ``threshold``, ``room`` per owner."""
+    above = np.bincount(owner[splittable & (errs > threshold[owner])], minlength=threshold.size)
+    order = np.lexsort((-np.where(splittable, errs, -1.0), owner))
+    rank = np.empty(owner.size, dtype=np.intp)
+    rank[order] = np.arange(owner.size) - np.searchsorted(owner[order], owner[order])
+    return splittable & (rank < np.minimum(np.maximum(above, 1), room)[owner])
 
 
 def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
@@ -161,10 +166,11 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     ``f(x, owner)`` returns the integrands at the abscissae ``x``, where
     ``owner[j]`` is the batch index of the integrand that ``x[j]`` belongs
     to.  Each integrand keeps its own interval set, starting as the
-    ``START_PARTITION`` pieces of ``[lo[i], hi[i]]``, and every refinement
-    round bisects all of its intervals whose local error exceeds an equal
-    share of half the remaining budget (at least the worst one), so flat
-    regions are left alone while problem spots are chased.  An integrand
+    ``START_PARTITION`` pieces of ``[lo[i], hi[i]]``; every round bisects,
+    largest local error first (ties in interval order), its splittable
+    intervals above an equal share of half the remaining budget, at least
+    one and at most what ``max_intervals`` leaves room for, so flat regions
+    are left alone while problem spots are chased.  An integrand
     retires converged once its summed local errors drop below
     ``tol * max(|value|, floor[i])`` (``floor`` is one nonnegative value
     for all, or one per integrand), and unconverged, with its best
@@ -173,9 +179,10 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     unconverged, with value NaN, in the round that meets it; an infinite
     one counts as value 0 with an infinite error, to be refined.  Every
     decision and sum is per integrand, so an integrand's result does not
-    depend on the rest of the batch.  ``evaluations`` counts every node
-    evaluated, the start pieces' included; a ``max_intervals`` below the
-    number of start pieces raises ``ValueError``.
+    depend on the rest of the batch; its results are written once, in the
+    round it retires.  ``evaluations`` counts every node evaluated, the
+    start pieces' included; a ``max_intervals`` below the number of start
+    pieces raises ``ValueError``.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -197,8 +204,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     n = lo.size
     value, error = np.zeros(n), np.zeros(n)
     converged = np.zeros(n, dtype=bool)
-    count = np.full(n, pieces, dtype=np.int64)      # live intervals per integrand
-    evaluated = np.full(n, pieces, dtype=np.int64)  # intervals evaluated so far
+    count = np.full(n, pieces, dtype=np.int64)  # live intervals; a split adds 1, evaluates 2
     width_floor = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0) * 1e-15
 
     # owner[j] is the integrand of live interval j.  Each integrand's
@@ -211,41 +217,23 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     vals, errs = _apply_rule(f, a, b, owner)
 
     while owner.size:
-        active = np.zeros(n, dtype=bool)
-        active[owner] = True
         total = np.bincount(owner, vals, minlength=n)
         total_err = np.bincount(owner, errs, minlength=n)
         target = tol * np.maximum(np.abs(total), floor)
-        value[active] = total[active]
-        error[active] = total_err[active]
-        done = active & (total_err <= target)
-        converged |= done
+        ok = total_err <= target
         splittable = (b - a) > width_floor[owner]
-        done |= active & ((count >= max_intervals) | np.isnan(total)
-                          | (np.bincount(owner[splittable], minlength=n) == 0))
-        if done.any():
-            keep = ~done[owner]
-            a, b, vals, errs, owner = a[keep], b[keep], vals[keep], errs[keep], owner[keep]
-            splittable = splittable[keep]
-            active &= ~done
-            if not owner.size:
-                break
+        retire = (ok | (count >= max_intervals) | np.isnan(total)
+                  | (np.bincount(owner[splittable], minlength=n) == 0))[owner]
+        i = owner[retire]
+        value[i], error[i], converged[i] = total[i], total_err[i], ok[i]
+        keep = ~retire
+        a, b, vals, errs, owner = a[keep], b[keep], vals[keep], errs[keep], owner[keep]
+        splittable = splittable[keep]
+        if not owner.size:
+            break
 
-        pick = splittable & (errs > (target / (2.0 * count))[owner])
-        # An integrand with nothing picked splits its worst splittable interval.
-        unpicked = active & (np.bincount(owner[pick], minlength=n) == 0)
-        if unpicked.any():
-            worst = _first_max_per_owner(owner, np.where(splittable, errs, -1.0))
-            pick[worst[unpicked[owner[worst]]]] = True
-        budget = max_intervals - count
-        for i in np.flatnonzero(np.bincount(owner[pick], minlength=n) > budget):
-            chosen = np.flatnonzero(pick & (owner == i))
-            pick[chosen] = False
-            pick[chosen[np.argsort(errs[chosen], kind="stable")[::-1][:budget[i]]]] = True
-
-        picked = np.bincount(owner[pick], minlength=n)
-        count += picked
-        evaluated += 2 * picked
+        pick = _pick_splits(owner, errs, splittable, target / (2.0 * count), max_intervals - count)
+        count += np.bincount(owner[pick], minlength=n)
         pa, pb, po = a[pick], b[pick], owner[pick]
         mid = 0.5 * (pa + pb)
         sub_a = np.concatenate([pa, mid])
@@ -259,7 +247,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
         vals = np.concatenate([vals[rest], sub_vals])
         errs = np.concatenate([errs[rest], sub_errs])
 
-    return BatchQuadrature(value, error, evaluated * _NODES.size, converged)
+    return BatchQuadrature(value, error, (2 * count - pieces) * _NODES.size, converged)
 
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,

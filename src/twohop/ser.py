@@ -153,13 +153,13 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     run as one ``ser_from_cdf`` batch, whose end-to-end CDF runs
     ``NESTED_TIGHTENING`` times tighter than the SER.  Every SER integral
     maps gamma = u^2 onto the same dyadic grid in t, so modulations on one
-    link request many of the same floats; each (link, gamma) is computed
-    once, and a round's missing pairs go to one ``end_to_end_cdf`` batch,
-    whose values equal the values computed alone.  An integral whose
-    quadrature does not converge is NaN instead of aborting the sweep.
-    Each link's inner CDFs stop at an absolute error of its ``_inner_floor``
-    times their tolerance, which adds at most ``2 * tol / NESTED_TIGHTENING``
-    to the relative error of every SER.
+    link request many of the same floats; each round's distinct
+    (link, gamma) pairs go to one ``end_to_end_cdf`` batch, whose values
+    equal the values computed alone, so each is computed once per round.
+    An integral whose quadrature does not converge is NaN instead of
+    aborting the sweep.  Each link's inner CDFs stop at an absolute error
+    of its ``_inner_floor`` times their tolerance, which adds at most
+    ``2 * tol / NESTED_TIGHTENING`` to the relative error of every SER.
     """
     links, mods = tuple(links), tuple(mods)
     combiners = {link.combiner for link in links}
@@ -169,17 +169,14 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     d1s = [effective_distribution(link.hop1) for link in links]
     d2s = [effective_distribution(link.hop2) for link in links]
     floor = _inner_floor(d1s, d2s)
-    memo: dict[tuple[int, float], float] = {}
 
     def cdf(g, owner):
-        keys = list(zip((owner % len(links)).tolist(), g.tolist()))
-        missing = [k for k in dict.fromkeys(keys) if k not in memo]
-        if missing:
-            law, gammas = (np.array(column) for column in zip(*missing))
-            values = end_to_end_cdf(d1s, d2s, gammas, combiner, tol / NESTED_TIGHTENING,
-                                    law=law, floor=floor)
-            memo.update(zip(missing, values.tolist()))
-        return np.array([memo[k] for k in keys])
+        # (link, gamma) as one complex key: NumPy sorts by real, then imaginary part.
+        key = (owner % len(links)).astype(complex)
+        key.imag = g
+        pairs, inverse = np.unique(key, return_inverse=True)
+        return end_to_end_cdf(d1s, d2s, pairs.imag, combiner, tol / NESTED_TIGHTENING,
+                              law=pairs.real.astype(np.intp), floor=floor)[inverse]
 
     ser = ser_from_cdf([mod for mod in mods for _ in links], cdf, tol)
     return ser.reshape(len(mods), len(links))

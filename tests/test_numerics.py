@@ -13,7 +13,7 @@ from twohop.numerics import (
     _WK,
     START_PARTITION,
     QuadratureResult,
-    _first_max_per_owner,
+    _pick_splits,
     gaussian_q,
     integrate_batch,
     integrate_finite,
@@ -268,15 +268,46 @@ def test_nan_integrand_retires_at_once_and_alone():
                                                               alone.converged)
 
 
-def test_first_max_per_owner_matches_an_owner_loop():
+def _three_step_pick(owner, errs, splittable, threshold, room):
+    """The round's picks as three steps, owner by owner: each splittable interval
+    above the threshold; else the first worst splittable one; then, past the
+    room, only the largest errors."""
+    pick = np.zeros(owner.size, dtype=bool)
+    for i in np.unique(owner):
+        mine = np.flatnonzero((owner == i) & splittable)
+        chosen = mine[errs[mine] > threshold[i]]
+        if not chosen.size:
+            chosen = mine[[np.argmax(errs[mine])]]
+        if chosen.size > room[i]:
+            chosen = chosen[np.argsort(errs[chosen], kind="stable")[::-1][:room[i]]]
+        pick[chosen] = True
+    return pick
+
+
+def test_pick_splits_matches_the_three_step_owner_loop():
     rng = np.random.default_rng(4)
-    owner = rng.integers(0, 9, 400)
-    key = rng.integers(0, 4, 400).astype(float)  # many ties
-    key[::7] = -1.0
-    key[::11] = math.inf
-    want = [np.flatnonzero(owner == i)[np.argmax(key[owner == i])]
-            for i in np.unique(owner)]
-    assert _first_max_per_owner(owner, key).tolist() == want
+    seen = {"threshold": 0, "fallback": 0, "capped": 0, "unsplittable": 0}
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        owner = rng.integers(0, n, 300)
+        owner[:n] = np.arange(n)  # every owner has a live interval
+        errs = rng.permutation(300) * rng.uniform(1e-12, 1.0)  # distinct errors
+        splittable = rng.random(300) < 0.8
+        splittable[:n] = True  # and a splittable one, as every live owner does
+        threshold = errs.max() * rng.uniform(0.5, 1.02, n)
+        room = rng.integers(1, 30, n)
+        pick = _pick_splits(owner, errs, splittable, threshold, room)
+        assert pick.tolist() == _three_step_pick(owner, errs, splittable, threshold,
+                                                 room).tolist()
+        for i in range(n):
+            mine = owner == i
+            above = np.count_nonzero(mine & splittable & (errs > threshold[i]))
+            seen["threshold"] += 0 < above <= room[i]
+            seen["fallback"] += above == 0
+            seen["capped"] += above > room[i]
+            # an interval the threshold would take were it splittable
+            seen["unsplittable"] += bool(np.any(mine & ~splittable & (errs > threshold[i])))
+    assert min(seen.values()) > 0
 
 
 def test_fallback_picks_in_one_round_match_one_integrand_calls():

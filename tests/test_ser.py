@@ -170,6 +170,17 @@ def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
     assert sum(requested) < single_points
 
 
+def test_one_modulation_twice_reads_the_same_values():
+    # two BPSK rows ask each round for every (link, gamma) twice: the round's
+    # one lookup hands both the same value
+    links = links_at(_mimo3_link(), 3.0, [2.0, 9.0])
+    twice = ser_sweep(links, (BPSK, BPSK, PSK8))
+    alone = ser_sweep(links, (BPSK,))
+    assert np.all(np.isfinite(twice))
+    assert np.array_equal(twice[0], twice[1])
+    assert np.array_equal(twice[0], alone[0])
+
+
 def test_several_hop1_means_in_one_sweep_match_their_own_sweeps():
     link = _mimo3_link()
     grid = [2.0, 9.0]
