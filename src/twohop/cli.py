@@ -18,9 +18,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import __version__
 from .diversity import effective_distribution
+from .fading import LawTable
 from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
                          simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
@@ -35,9 +37,13 @@ DEFAULT_SWEEP_MC_SAMPLES = 100_000
 DEFAULT_CDF_MC_SAMPLES = 200_000
 VALIDATE_KS_SAMPLES = 100_000
 VALIDATE_CDF_SAMPLES = 1_000_000
-KS_THRESHOLD = 0.01
-CDF_DEV_THRESHOLD = 0.005
-SER_REL_THRESHOLD = 0.02
+#: Chance that a validate check fails on correct code: each limit is the
+#: deviation that n samples exceed with at most this probability.
+ALPHA = 1e-6
+#: Hop tail mass above the top of the default cdf/validate grid.
+GRID_TAIL_MASS = 1e-3
+#: Below this analytic SER the MC mean is skewed and its normal halfwidth
+#: under-covers, so validate skips the SER check there.
 SER_CHECK_FLOOR = 1e-4
 
 
@@ -77,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analytical vs Monte-Carlo end-to-end CDF as CSV")
     p.add_argument("--grid", metavar="SPEC",
                    help="linear-SNR grid, 'lo:hi:count' or comma list "
-                        "(default: 50 points up to the empirical 99.9%% quantile)")
+                        "(default: 50 points up to a bound on the 99.9%% quantile "
+                        "from the hop laws)")
     p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("validate", parents=[scen, common],
@@ -269,25 +276,36 @@ def _parse_grid(spec: str | None) -> np.ndarray | None:
     return points
 
 
+def _cdf_table(args, scenario: Scenario, tol: float, seed: int, samples: int, grid):
+    """The end-to-end CDF table of the operating point, for cdf and validate.
+
+    Returns the link, its two hop laws, ``samples`` MC draws of its eq,
+    the grid, and the analytic and empirical CDF columns on it.  Without a ``grid``, 50 points span [0, top], top being the smaller of
+    the two hops' points above which at most ``GRID_TAIL_MASS`` of the
+    hop's mass lies.  eq <= min(g1, g2), so top bounds eq's quantile at
+    1 - ``GRID_TAIL_MASS`` from above, and the grid follows from the laws
+    alone.
+    """
+    link = scenario.link_at(scenario.hop1_snr_db[0], scenario.hop2_snr_db)
+    laws = effective_distribution(link.hop1), effective_distribution(link.hop2)
+    eq = simulate_end_to_end(link, McRun(seed, samples, args.threads))
+    if grid is None:
+        grid = np.linspace(0.0, float(np.min(LawTable(laws).saturation(GRID_TAIL_MASS))), 50)
+    analytical = end_to_end_cdf_grid(*laws, grid, link.combiner, tol)
+    return link, laws, eq, grid, analytical, empirical_cdf(eq, grid)
+
+
 def cmd_cdf(args) -> int:
     scenario = _load(args)
     tol = _outer_tol(args, DEFAULT_CDF_TOL)
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_CDF_MC_SAMPLES)
-    grid = _parse_grid(args.grid)
-    hop1_db = scenario.hop1_snr_db[0]
-    link = scenario.link_at(hop1_db, scenario.hop2_snr_db)
-    d1 = effective_distribution(link.hop1)
-    d2 = effective_distribution(link.hop2)
-
-    eq = simulate_end_to_end(link, McRun(seed, samples, args.threads))
-    if grid is None:
-        grid = np.linspace(0.0, float(np.quantile(eq, 0.999)), 50)
-    analytical = end_to_end_cdf_grid(d1, d2, grid, link.combiner, tol)
-    empirical = empirical_cdf(eq, grid)
+    _, _, _, grid, analytical, empirical = _cdf_table(args, scenario, tol, seed, samples,
+                                                      _parse_grid(args.grid))
 
     lines = _meta("cdf", scenario, tol, seed, samples)
-    lines.append(f"# hop1_snr_db: {hop1_db:g}  hop2_snr_db: {scenario.hop2_snr_db:g}")
+    lines.append(f"# hop1_snr_db: {scenario.hop1_snr_db[0]:g}  "
+                 f"hop2_snr_db: {scenario.hop2_snr_db:g}")
     lines.append("gamma,cdf_analytical,cdf_mc")
     for g, a, e in zip(grid, analytical, empirical):
         lines.append(f"{g:.8g},{_fmt_prob(a, args.full_precision)},"
@@ -308,9 +326,10 @@ def _ks_distance(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(steps - values), np.max(values - steps + 1.0 / n)))
 
 
-def _scaled(base: float, n: int, reference: int) -> float:
-    """Loosen a threshold when fewer samples than the reference are used."""
-    return base * max(1.0, math.sqrt(reference / n))
+def _dkw(n: int) -> float:
+    """The sup-distance that an n-sample empirical CDF exceeds with probability at
+    most ``ALPHA``: the Dvoretzky-Kiefer-Wolfowitz bound with Massart's constant."""
+    return math.sqrt(math.log(2.0 / ALPHA) / (2.0 * n))
 
 
 def cmd_validate(args) -> int:
@@ -319,42 +338,31 @@ def cmd_validate(args) -> int:
     # validate sizes its runs by its own defaults, not by the scenario's mc_samples
     seed, n_big = _mc_settings(args, scenario.mc_seed, VALIDATE_CDF_SAMPLES)
     n_ks = args.samples if args.samples is not None else VALIDATE_KS_SAMPLES
+    link, laws, eq, _, analytical, empirical = _cdf_table(args, scenario, tol, seed, n_big,
+                                                          None)
 
-    hop1_db = scenario.hop1_snr_db[0]
-    hop2_db = scenario.hop2_snr_db
-    link = scenario.link_at(hop1_db, hop2_db)
-    d1 = effective_distribution(link.hop1)
-    d2 = effective_distribution(link.hop2)
-
-    rows: list[tuple[str, str, str, bool]] = []
-
-    limit = _scaled(KS_THRESHOLD, n_ks, VALIDATE_KS_SAMPLES)
-    for stream, hop, law in ((1, link.hop1, d1), (2, link.hop2, d2)):
-        ks = _ks_distance(simulate_hop(hop, McRun(seed, n_ks, args.threads),
-                                       stream=stream), law.cdf)
-        rows.append((f"hop{stream} law KS distance (n={n_ks})",
-                     f"{ks:.6f}", f"{limit:.6f}", ks <= limit))
-
-    eq = simulate_end_to_end(link, McRun(seed, n_big, args.threads))
-    grid = np.linspace(0.0, float(np.quantile(eq, 0.999)), 50)
-    analytical = end_to_end_cdf_grid(d1, d2, grid, link.combiner, tol)
-    deviation = float(np.max(np.abs(analytical - empirical_cdf(eq, grid))))
-    limit = _scaled(CDF_DEV_THRESHOLD, n_big, VALIDATE_CDF_SAMPLES)
-    rows.append((f"end-to-end CDF max deviation (n={n_big})",
-                 f"{deviation:.6f}", f"{limit:.6f}", deviation <= limit))
+    distances = []  # (label, observed sup-distance, sample count) of each check on a law
+    for stream, hop, law in zip((1, 2), (link.hop1, link.hop2), laws):
+        draws = simulate_hop(hop, McRun(seed, n_ks, args.threads), stream=stream)
+        distances.append((f"hop{stream} law KS distance (n={n_ks})",
+                          _ks_distance(draws, law.cdf), n_ks))
+    distances.append((f"end-to-end CDF max deviation (n={n_big})",
+                      float(np.max(np.abs(analytical - empirical))), n_big))
+    rows = [(label, f"{d:.6f}", f"{_dkw(n):.6f}", d <= _dkw(n)) for label, d, n in distances]
 
     ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
     ser = ser_sweep([link], scenario.modulations, ser_tol)
     for mod, analytical_ser in zip(scenario.modulations, ser[:, 0].tolist()):
-        estimate, _ = mc_ser(mod, eq)
-        label = (f"SER rel. err. {mod.label} @ hop1 {hop1_db:g} dB, "
-                 f"hop2 {hop2_db:g} dB")
+        estimate, halfwidth = mc_ser(mod, eq)
+        label = (f"SER rel. err. {mod.label} @ hop1 {scenario.hop1_snr_db[0]:g} dB, "
+                 f"hop2 {scenario.hop2_snr_db:g} dB")
         if analytical_ser < SER_CHECK_FLOOR:
             rows.append((label, f"(SER {analytical_ser:.3g} < {SER_CHECK_FLOOR:g})",
                          "skipped", True))
             continue
         rel = abs(analytical_ser - estimate) / analytical_ser
-        limit = _scaled(SER_REL_THRESHOLD, n_big, VALIDATE_CDF_SAMPLES)
+        # the 95% MC halfwidth, widened to two-sided level ALPHA
+        limit = -special.ndtri(0.5 * ALPHA) / 1.96 * halfwidth / analytical_ser
         rows.append((label, f"{rel:.6f}", f"{limit:.6f}", rel <= limit))
 
     lines = [f"twohop validate: scenario {scenario.name} "

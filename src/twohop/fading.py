@@ -75,20 +75,20 @@ class LawTable:
         # A table without selection laws skips the powers, which are 1.
         self.selection = bool(np.any(self.candidates > 1))
 
-    def saturation(self) -> np.ndarray:
-        """Per row, an SNR from which on 1 - cdf <= ``UNIT_ROUNDOFF``, or inf.
+    def saturation(self, tail: float = UNIT_ROUNDOFF) -> np.ndarray:
+        """Per row, an SNR from which on 1 - cdf <= ``tail``, or inf.
 
-        1 - P**n <= n * (1 - P), so n * Q(k, x*rate) <= ``UNIT_ROUNDOFF``
-        suffices.  ``gammainccinv`` is asked for half of that, which absorbs
-        its misses of a few ulps, and the bound is checked as evaluated.  A
-        row that fails it (far outside the shapes a hop can have: at shape
-        1e-300 the inverse is 0) gets inf.
+        1 - P**n <= n * (1 - P), so n * Q(k, x*rate) <= ``tail`` suffices.
+        ``gammainccinv`` is asked for half of that, which absorbs its misses
+        of a few ulps, and the bound is checked as evaluated.  A row that
+        fails it (far outside the shapes a hop can have: at shape 1e-300
+        the inverse is 0) gets inf.
         """
-        x = special.gammainccinv(self.shape, 0.5 * UNIT_ROUNDOFF / self.candidates) / self.rate
+        x = special.gammainccinv(self.shape, 0.5 * tail / self.candidates) / self.rate
         # NaN (0 * inf, at an infinite rate) fails the check
         with np.errstate(invalid="ignore"):
             survival = self.candidates * special.gammaincc(self.shape, x * self.rate)
-        return np.where(survival <= UNIT_ROUNDOFF, x, math.inf)
+        return np.where(survival <= tail, x, math.inf)
 
     def _base_cdf(self, x, law):
         return special.gammainc(self.shape[law], x * self.rate[law])

@@ -69,8 +69,8 @@ MAX_SWEEP_POINTS = 10_000
 # of at most 1e+-100 (MAX_ABS_DB), at most MAX_ANTENNAS antennas a node and
 # m at most MAX_FADING_FIGURE, the hop shape (<= 409,600), the hop mean
 # (<= 6.4e101), the product of two hop SNRs in the Monte-Carlo combiner and
-# the quantile that sets a CDF grid stay normal floats, and a TAS draw block
-# holds at most 64 doubles per sample.
+# the hop-law point that tops a default CDF grid stay normal floats, and a
+# TAS draw block holds at most 64 doubles per sample.
 MAX_ABS_DB = 1000.0
 MAX_ANTENNAS = 64
 MAX_FADING_FIGURE = 100.0

@@ -133,9 +133,11 @@ def _inner_floor(d1s, d2s) -> np.ndarray:
         out = np.exp(-u * u)
         # The public, checked cdf per link: ser_sweep's only public law calls,
         # which bench/test_bench.py's traced fading layer counts (ROADMAP item 4).
-        for k in np.unique(owner):
-            f1, f2 = d1s[k].cdf(u[owner == k] ** 2), d2s[k].cdf(u[owner == k] ** 2)
-            out[owner == k] *= f1 + f2 - f1 * f2
+        order = np.argsort(owner, kind="stable")
+        ids, starts = np.unique(owner[order], return_index=True)
+        for k, nodes in zip(ids, np.split(order, starts[1:])):
+            f1, f2 = d1s[k].cdf(u[nodes] ** 2), d2s[k].cdf(u[nodes] ** 2)
+            out[nodes] *= f1 + f2 - f1 * f2
         return out
 
     loose = 1e-3
@@ -153,9 +155,12 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     run as one ``ser_from_cdf`` batch, whose end-to-end CDF runs
     ``NESTED_TIGHTENING`` times tighter than the SER.  Every SER integral
     maps gamma = u^2 onto the same dyadic grid in t, so modulations on one
-    link request many of the same floats; each round's distinct
-    (link, gamma) pairs go to one ``end_to_end_cdf`` batch, whose values
-    equal the values computed alone, so each is computed once per round.
+    link request many of the same floats.  The integrals are ordered
+    link-major, so a link's modulations sit side by side in each rule
+    chunk, and each chunk's distinct (link, gamma) pairs go to one
+    ``end_to_end_cdf`` batch, whose values equal the values computed
+    alone.  So each is computed once per round, save on a link whose
+    modulations straddle a chunk boundary: at most one per boundary.
     An integral whose quadrature does not converge is NaN instead of
     aborting the sweep.  Each link's inner CDFs stop at an absolute error
     of its ``_inner_floor`` times their tolerance, which adds at most
@@ -172,11 +177,12 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
 
     def cdf(g, owner):
         # (link, gamma) as one complex key: NumPy sorts by real, then imaginary part.
-        key = (owner % len(links)).astype(complex)
+        key = (owner // len(mods)).astype(complex)
         key.imag = g
         pairs, inverse = np.unique(key, return_inverse=True)
         return end_to_end_cdf(d1s, d2s, pairs.imag, combiner, tol / NESTED_TIGHTENING,
                               law=pairs.real.astype(np.intp), floor=floor)[inverse]
 
-    ser = ser_from_cdf([mod for mod in mods for _ in links], cdf, tol)
-    return ser.reshape(len(mods), len(links))
+    # Link-major, so a link's modulations sit side by side in every rule chunk.
+    ser = ser_from_cdf([mod for _ in links for mod in mods], cdf, tol)
+    return ser.reshape(len(links), len(mods)).T

@@ -164,6 +164,19 @@ def test_cdf_default_grid_has_fifty_points(mini_path, tmp_path):
     assert rows[0].startswith("0,")
 
 
+def test_cdf_analytic_columns_do_not_depend_on_the_sampler(mini_path, tmp_path):
+    # the default grid comes from the hop laws, not from the Monte-Carlo draws
+    columns = []
+    for seed, samples in (("1", "2000"), ("2", "3000")):
+        out = tmp_path / f"cdf{seed}.csv"
+        code, _ = run_main(["cdf", "--scenario", mini_path, "--seed", seed,
+                            "--samples", samples, "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_rows(out)
+        columns.append([row.rsplit(",", 1)[0] for row in rows])
+    assert columns[0] == columns[1]
+
+
 @pytest.mark.parametrize("spec", ["", "1:2", "2:1:5", "-1:4:3", "0:4:0",
                                   "a,b", "3,2,1", "0:1:10001", "0,inf",
                                   "0:1e400:3", "1:1:3"])
@@ -217,14 +230,21 @@ def test_validate_clean_pass(mini_path, tmp_path):
 
 
 def test_validate_reports_failures(mini_path, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "KS_THRESHOLD", 0.0)
+    # a zero DKW limit fails both KS checks and the CDF deviation check
+    monkeypatch.setattr(cli, "_dkw", lambda n: 0.0)
     out = tmp_path / "report.txt"
     code, _ = run_main(["validate", "--scenario", mini_path,
                         "--samples", "5000", "--out", str(out)])
     assert code == 1
     text = out.read_text(encoding="utf-8")
-    assert "FAIL" in text
-    assert "2 of 4 checks passed" in text
+    assert text.count("FAIL") == 3
+    assert "1 of 4 checks passed" in text
+
+
+def test_validate_limits_follow_from_the_sample_count():
+    # DKW with Massart's constant at ALPHA = 1e-6
+    assert f"{cli._dkw(100_000):.6f}" == "0.008517"
+    assert f"{cli._dkw(1_000_000):.6f}" == "0.002693"
 
 
 def test_validate_unreachable_tolerance_exits_three(mini_path, tmp_path):

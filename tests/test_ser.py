@@ -1,6 +1,7 @@
 """Symbol error rates: kernel constants, the CDF-form integral, sweeps."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +384,73 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
         assert len(calls_per_round) == rounds
         pairs = [pair for request in requests for pair in request]
         assert len(pairs) == len(set(pairs))
+
+
+def _record_rounds(monkeypatch):
+    """Per outer quadrature round, the (link, gamma) pairs of each ``end_to_end_cdf`` call.
+
+    A round is one ``numerics._apply_rule`` call made outside an
+    ``end_to_end_cdf`` call; ``_apply_rule`` evaluates its intervals in
+    chunks of ``_RULE_CHUNK``, and each chunk makes its own call.
+    """
+    import twohop.numerics as numerics_module
+    import twohop.ser as ser_module
+
+    rounds, depth = [], [0]
+    real_rule = numerics_module._apply_rule
+
+    def counting_rule(f, a, b, owner):
+        if not depth[0]:
+            rounds.append([])
+        return real_rule(f, a, b, owner)
+
+    def counting_cdf(d1, d2, snr, *args, law, **kwargs):
+        rounds[-1].append(list(zip(law.tolist(), snr.tolist())))
+        depth[0] += 1
+        try:
+            return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numerics_module, "_apply_rule", counting_rule)
+    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    return rounds
+
+
+def _mimo_n2_links(scenario_dir, count: int) -> list[LinkScenario]:
+    scenario = load_scenario(scenario_dir / "mimo_n2.scenario")
+    return [scenario.link_at(2.0, db) for db in np.linspace(0.0, 20.0, count).tolist()]
+
+
+def test_a_chunk_boundary_repeats_at_most_one_links_requests(monkeypatch, scenario_dir):
+    # 360 links x 3 modulations x 4 start pieces is over the 4,096 intervals
+    # of one rule chunk, so rounds run in several chunks, each with its own
+    # lookup.  A link's modulations sit side by side, so a (link, gamma)
+    # pair is asked twice only on a link that straddles a chunk boundary.
+    rounds = _record_rounds(monkeypatch)
+    ser = ser_sweep(_mimo_n2_links(scenario_dir, 360), (BPSK, PSK8, PSK16))
+    assert np.isfinite(ser).all()
+    assert max(len(calls) for calls in rounds) > 1
+    seen = set()
+    for calls in rounds:
+        pairs = [pair for call in calls for pair in call]
+        distinct = set(pairs)
+        assert not distinct & seen  # no pair recurs in a later round
+        seen |= distinct
+        repeated = {link for (link, _), n in Counter(pairs).items() if n > 1}
+        assert len(repeated) <= max(len(calls) - 1, 0)
+        per_link = Counter(link for link, _ in distinct)
+        assert len(pairs) - len(distinct) <= len(repeated) * max(per_link.values(), default=0)
+
+
+def test_requests_per_link_do_not_grow_with_the_batch(monkeypatch, scenario_dir):
+    rounds, per_link = _record_rounds(monkeypatch), {}
+    for count in (120, 480):
+        rounds.clear()
+        ser_sweep(_mimo_n2_links(scenario_dir, count), (BPSK, PSK8, PSK16))
+        requests = sum(len(call) for calls in rounds for call in calls)
+        per_link[count] = requests / count
+    assert per_link[480] <= 1.02 * per_link[120]
 
 
 def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
