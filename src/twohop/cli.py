@@ -59,27 +59,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
     common.add_argument("--tol", type=float, metavar="REL",
                         help="relative tolerance of the outer quadrature")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="Monte-Carlo master seed (overrides the scenario)")
-    common.add_argument("--samples", type=int, metavar="N",
-                        help="Monte-Carlo sample count (overrides the scenario)")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="Monte-Carlo worker threads, capped at the CPU count "
-                             "(never changes results)")
     common.add_argument("--combiner", choices=[c.value for c in Combiner],
                         help="combiner override")
-    common.add_argument("--full-precision", action="store_true",
-                        help="print probabilities at full float precision")
 
     scen = argparse.ArgumentParser(add_help=False)
     scen.add_argument("--scenario", required=True, metavar="PATH",
                       help="scenario file (see the package README for the format)")
+    scen.add_argument("--seed", type=int, metavar="U64",
+                      help="Monte-Carlo master seed (overrides the scenario)")
+    scen.add_argument("--samples", type=int, metavar="N",
+                      help="Monte-Carlo sample count (overrides the scenario)")
+    scen.add_argument("--threads", type=int, default=1, metavar="N",
+                      help="Monte-Carlo worker threads, capped at the CPU count "
+                           "(never changes results)")
 
-    p = sub.add_parser("ser-sweep", parents=[scen, common],
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--full-precision", action="store_true",
+                       help="print probabilities at full float precision")
+
+    p = sub.add_parser("ser-sweep", parents=[scen, common, table],
                        help="SER vs hop-2 mean SNR as CSV")
     p.set_defaults(func=cmd_ser_sweep)
 
-    p = sub.add_parser("cdf", parents=[scen, common],
+    p = sub.add_parser("cdf", parents=[scen, common, table],
                        help="analytical vs Monte-Carlo end-to-end CDF as CSV")
     p.add_argument("--grid", metavar="SPEC",
                    help="linear-SNR grid, 'lo:hi:count' or comma list "
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the oracle-equivalence checks for a scenario")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("compare-cases", parents=[common],
+    p = sub.add_parser("compare-cases", parents=[common, table],
                        help="SER of the three antenna placements side by side")
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="antenna count of each populated node")
@@ -343,6 +345,8 @@ def cmd_validate(args) -> int:
 
     distances = []  # (label, observed sup-distance, sample count) of each check on a law
     for stream, hop, law in zip((1, 2), (link.hop1, link.hop2), laws):
+        # Streams 1 and 2 are the link simulation's: these are the first n_ks
+        # hop draws behind eq, a known reuse that leaves each check's limit valid.
         draws = simulate_hop(hop, McRun(seed, n_ks, args.threads), stream=stream)
         distances.append((f"hop{stream} law KS distance (n={n_ks})",
                           _ks_distance(draws, law.cdf), n_ks))

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-# Distinct substream tags keep standalone hop draws and the two hops of a
-# link simulation statistically independent of each other.
+# Substream tags.  The two hops of a link simulation draw independently; a
+# simulate_hop call on a link tag repeats that hop's draws in the simulation.
 _HOP_STREAM = 0
 _LINK_STREAM_HOP1 = 1
 _LINK_STREAM_HOP2 = 2

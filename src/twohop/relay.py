@@ -45,9 +45,10 @@ A double gamma below T2* lies at least one ulp, gamma * 2**-53, below it, so
 hi stays above ln(gamma) - 37 and the clip of the start to
 [ln(gamma) - 40, hi - 1] never inverts.
 
-``end_to_end_cdf`` checks its arguments once.  Both terms then read the hop
-laws' internal ``LawTable``s, which evaluate every link of the batch in one
-expression and check nothing: F2 at the start of each quadrature, the
+``end_to_end_cdf`` checks its arguments once and reads a one-link
+``LinkTable``; ``ser_sweep`` builds one over all of a sweep's links.  Both
+terms read the table's hop-law ``LawTable``s, which evaluate every link in
+one expression and check nothing: F2 at the start of each quadrature, the
 integrand at the quadrature's nodes.  So relay makes no public law call.
 A gamma whose quadrature does not converge comes back as NaN, from
 ``end_to_end_cdf_grid`` as from ``end_to_end_cdf``.
@@ -110,23 +111,19 @@ def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
     return out
 
 
-def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
-                   tol: float = DEFAULT_CDF_TOL, *, law=None, floor=1e-300):
+def end_to_end_cdf(d1: GammaSnr, d2: GammaSnr, snr, combiner: Combiner = Combiner.EXACT,
+                   tol: float = DEFAULT_CDF_TOL):
     """P{equivalent SNR <= snr} to relative tolerance ``tol`` in (0, 1e-2].
 
     ``snr`` is a scalar (the result is a float) or an array (the result
     has its shape); snr = 0 gives 0, and snr = +inf, or any snr from
-    either hop's saturation on, gives 1.  ``d1`` and ``d2`` are the hop laws, or, when ``law`` is given, two sequences of
-    hop laws of one length, and ``law`` an integer array of ``snr``'s
-    shape: element j lies on the link ``(d1[law[j]], d2[law[j]])``.  All
-    elements run as one batch of inner quadratures, and each value is
-    bit-identical to a call with that element (and its link) alone.  An
-    element whose quadrature does not converge is NaN; the others are
-    unaffected.  An element's quadrature stops at an error of
-    ``tol * max(integral, floor)``, with ``floor`` nonnegative: one value,
-    or one per link when ``law`` is given.  The integral is the whole one,
-    over y > snr: its stretch where the hop-1 CDF is 1, which is not
-    integrated, counts as F2(y*) - F2(snr); its stretch past hop 2's
+    either hop's saturation on, gives 1.  ``d1`` and ``d2`` are the hop
+    laws.  All elements run as one batch of inner quadratures, and each
+    value is bit-identical to a call with that element alone.  An element
+    whose quadrature does not converge is NaN; the others are unaffected.
+    An element's quadrature stops at an error of ``tol`` times the whole
+    integral, over y > snr: its stretch where the hop-1 CDF is 1, which is
+    not integrated, counts as F2(y*) - F2(snr); its stretch past hop 2's
     saturation, which adds less than double precision, is left out.
     """
     gamma = np.asarray(snr, dtype=float)
@@ -134,73 +131,72 @@ def end_to_end_cdf(d1, d2, snr, combiner: Combiner = Combiner.EXACT,
         raise ValueError(f"snr must be nonnegative, got {snr}")
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
-    if law is None:
-        d1s, d2s, which = (d1,), (d2,), np.zeros(gamma.size, dtype=np.intp)
-    else:
-        d1s, d2s, which = tuple(d1), tuple(d2), np.asarray(law)
-        if len(d1s) != len(d2s):
-            raise ValueError(f"d1 and d2 must have one length, got {len(d1s)} and {len(d2s)}")
-        if (which.shape != gamma.shape or not np.issubdtype(which.dtype, np.integer)
-                or not np.all((0 <= which) & (which < len(d2s)))):
-            raise ValueError("law must be integers indexing d1 and d2, one per snr element")
-        which = which.reshape(-1).astype(np.intp)
-    floor = np.broadcast_to(np.asarray(floor, dtype=float), (len(d2s),))
-    if not np.all((0.0 <= floor) & (floor < np.inf)):
-        raise ValueError(f"floor must be nonnegative and finite, got {floor}")
-    flat = gamma.reshape(-1)
-    # The arguments are checked, so both terms come straight from the
-    # parameter tables: one expression for all links, with no per-call checks.
-    hop1, hop2 = LawTable(d1s), LawTable(d2s)
-    # F_eq is 0 at gamma = 0, and 1 from either hop's saturation on.
-    first, second = hop1.saturation()[which], hop2.saturation()[which]
-    out = np.where(flat >= np.minimum(first, second), 1.0, 0.0)
-    pos = np.flatnonzero((flat > 0.0) & (out == 0.0))
-    if pos.size:
-        out[pos] = _positive_cdf(hop1, hop2, which[pos], flat[pos], first[pos], second[pos],
-                                 combiner, tol, floor[which[pos]])
-    if gamma.ndim == 0:
-        return float(out[0])
-    return out.reshape(gamma.shape)
+    out = LinkTable((d1,), (d2,), combiner).cdf(gamma.ravel(), np.zeros(gamma.size, np.intp), tol)
+    return float(out[0]) if gamma.ndim == 0 else out.reshape(gamma.shape)
 
 
-def _positive_cdf(hop1: LawTable, hop2: LawTable, law: np.ndarray, gamma: np.ndarray,
-                  first: np.ndarray, second: np.ndarray, combiner: Combiner, tol: float,
-                  floor: np.ndarray) -> np.ndarray:
-    """F_eq at ``gamma[i]`` on link ``law[i]``, below both hops' saturations ``first[i]``
-    and ``second[i]``, NaN where it did not converge."""
-    shift = 1.0 if combiner is Combiner.EXACT else 0.0
+class LinkTable:
+    """A batch of links, built once: both hops' ``LawTable``s and saturations
+    T1* and T2*, the combiner's shift and each link's floor (checked here).
 
-    def integrand(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        g = gamma[owner]
-        gap = np.exp(s)  # y - gamma, without the rounding of a subtraction
-        y = g + gap
-        link = law[owner]
-        return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
+    ``cdf(gamma, law, tol)`` is F_eq at ``gamma[j]`` on link ``law[j]``; each
+    quadrature stops at an error of ``tol * max(integral, floor)``.  Like
+    ``LawTable.cdf`` it checks nothing; ``end_to_end_cdf`` is its boundary.
+    """
 
-    # On (gamma, y*] the threshold is at least T1*, so F1 is 1 there: the
-    # quadrature starts at s = ln(y* - gamma), and F2 is read where it starts.
-    # Past T2* less than 2**-53 of the hop-2 mass is left, so it ends there.
-    bottom = np.log(gamma) - 40.0
-    hi = np.minimum(np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0,
-                    np.log(second - gamma))
-    with np.errstate(divide="ignore"):
-        lo = np.clip(np.log(gamma * (gamma + shift) / (first - gamma)), bottom, hi - 1.0)
-    start = np.where(lo > bottom, gamma + np.exp(lo), gamma)
-    head = hop2.cdf(start, law)
-    # The stretch skipped still counts toward the integral that tol refers to.
-    floor = np.maximum(floor, head - hop2.cdf(gamma, law))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        result = integrate_batch(integrand, lo, hi, tol, floor=floor)
-    raw = head + result.value
-    value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
-    # NaN compares False, so only a converged value can report a clamp, and
-    # only by more than rounding: ten ulps of the value at least.
-    slack = 10.0 * np.maximum(tol * np.maximum(value, 1e-6), np.spacing(value))
-    for i in np.flatnonzero(np.abs(raw - value) > slack):
-        warnings.warn(
-            f"end-to-end CDF clamped from {float(raw[i])!r} to {float(value[i])!r} "
-            f"at snr={float(gamma[i])!r}", RuntimeWarning)
-    return value
+    def __init__(self, d1s, d2s, combiner: Combiner, floor=1e-300):
+        self.hop1, self.hop2 = LawTable(d1s), LawTable(d2s)
+        self.first, self.second = self.hop1.saturation(), self.hop2.saturation()
+        self.shift = 1.0 if combiner is Combiner.EXACT else 0.0
+        self.floor = np.broadcast_to(np.asarray(floor, dtype=float), self.second.shape)
+        if not np.all((0.0 <= self.floor) & (self.floor < np.inf)):
+            raise ValueError(f"floor must be nonnegative and finite, got {floor}")
+
+    def cdf(self, gamma: np.ndarray, law: np.ndarray, tol: float) -> np.ndarray:
+        # F_eq is 0 at gamma = 0, and 1 from either hop's saturation on.
+        out = np.where(gamma >= np.minimum(self.first[law], self.second[law]), 1.0, 0.0)
+        pos = np.flatnonzero((gamma > 0.0) & (out == 0.0))
+        if pos.size:
+            out[pos] = self._positive_cdf(gamma[pos], law[pos], tol)
+        return out
+
+    def _positive_cdf(self, gamma: np.ndarray, law: np.ndarray, tol: float) -> np.ndarray:
+        """F_eq at ``gamma[i]`` on link ``law[i]``, below both hops' saturations,
+        NaN where it did not converge."""
+        hop1, hop2, shift = self.hop1, self.hop2, self.shift
+        first, second = self.first[law], self.second[law]
+
+        def integrand(s: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            g = gamma[owner]
+            gap = np.exp(s)  # y - gamma, without the rounding of a subtraction
+            y = g + gap
+            link = law[owner]
+            return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
+
+        # On (gamma, y*] the threshold is at least T1*, so F1 is 1 there: the
+        # quadrature starts at s = ln(y* - gamma), and F2 is read where it starts.
+        # Past T2* less than 2**-53 of the hop-2 mass is left, so it ends there.
+        bottom = np.log(gamma) - 40.0
+        hi = np.minimum(np.log(np.maximum(hop2.mean_bound[law], gamma)) + 6.0,
+                        np.log(second - gamma))
+        with np.errstate(divide="ignore"):
+            lo = np.clip(np.log(gamma * (gamma + shift) / (first - gamma)), bottom, hi - 1.0)
+        start = np.where(lo > bottom, gamma + np.exp(lo), gamma)
+        head = hop2.cdf(start, law)
+        # The stretch skipped still counts toward the integral that tol refers to.
+        floor = np.maximum(self.floor[law], head - hop2.cdf(gamma, law))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            result = integrate_batch(integrand, lo, hi, tol, floor=floor)
+        raw = head + result.value
+        value = np.where(result.converged, np.clip(raw, 0.0, 1.0), np.nan)
+        # NaN compares False, so only a converged value can report a clamp, and
+        # only by more than rounding: ten ulps of the value at least.
+        slack = 10.0 * np.maximum(tol * np.maximum(value, 1e-6), np.spacing(value))
+        for i in np.flatnonzero(np.abs(raw - value) > slack):
+            warnings.warn(
+                f"end-to-end CDF clamped from {float(raw[i])!r} to {float(value[i])!r} "
+                f"at snr={float(gamma[i])!r}", RuntimeWarning)
+        return value
 
 
 def end_to_end_cdf_grid(d1: GammaSnr, d2: GammaSnr, grid,

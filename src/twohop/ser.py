@@ -25,7 +25,7 @@ import numpy as np
 from .diversity import effective_distribution
 from .numerics import (DEFAULT_SER_TOL, NESTED_TIGHTENING, gaussian_q, integrate_semi_infinite,
                        integrate_semi_infinite_batch)
-from .relay import end_to_end_cdf
+from .relay import LinkTable
 
 __all__ = [
     "PskModulation",
@@ -157,8 +157,8 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     maps gamma = u^2 onto the same dyadic grid in t, so modulations on one
     link request many of the same floats.  The integrals are ordered
     link-major, so a link's modulations sit side by side in each rule
-    chunk, and each chunk's distinct (link, gamma) pairs go to one
-    ``end_to_end_cdf`` batch, whose values equal the values computed
+    chunk, and each chunk's distinct (link, gamma) pairs go to one batch
+    of the call's one ``LinkTable``, whose values equal the values computed
     alone.  So each is computed once per round, save on a link whose
     modulations straddle a chunk boundary: at most one per boundary.
     An integral whose quadrature does not converge is NaN instead of
@@ -173,15 +173,14 @@ def ser_sweep(links, mods, tol: float = DEFAULT_SER_TOL) -> np.ndarray:
     combiner, = combiners
     d1s = [effective_distribution(link.hop1) for link in links]
     d2s = [effective_distribution(link.hop2) for link in links]
-    floor = _inner_floor(d1s, d2s)
+    table = LinkTable(d1s, d2s, combiner, _inner_floor(d1s, d2s))
 
     def cdf(g, owner):
         # (link, gamma) as one complex key: NumPy sorts by real, then imaginary part.
         key = (owner // len(mods)).astype(complex)
         key.imag = g
         pairs, inverse = np.unique(key, return_inverse=True)
-        return end_to_end_cdf(d1s, d2s, pairs.imag, combiner, tol / NESTED_TIGHTENING,
-                              law=pairs.real.astype(np.intp), floor=floor)[inverse]
+        return table.cdf(pairs.imag, pairs.real.astype(np.intp), tol / NESTED_TIGHTENING)[inverse]
 
     # Link-major, so a link's modulations sit side by side in every rule chunk.
     ser = ser_from_cdf([mod for _ in links for mod in mods], cdf, tol)

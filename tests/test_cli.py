@@ -596,6 +596,25 @@ def test_common_flag_and_file_errors(mini_path, tmp_path, no_draws):
         assert f"(field: {field})" in err, argv
 
 
+COMPARE_ONE_POINT = ["compare-cases", "--n", "1", "--sweep", "0:0:1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (COMPARE_ONE_POINT + ["--seed", "1"], "--seed 1"),
+    (COMPARE_ONE_POINT + ["--samples", "1000"], "--samples 1000"),
+    (COMPARE_ONE_POINT + ["--threads", "2"], "--threads 2"),
+    (["validate", "--scenario", "unread.scenario", "--full-precision"], "--full-precision"),
+], ids=["compare-cases-seed", "compare-cases-samples", "compare-cases-threads",
+        "validate-full-precision"])
+def test_a_command_rejects_the_flags_it_does_not_use(argv, flag):
+    # compare-cases draws no samples and validate prints no probabilities
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in err.getvalue()
+
+
 def test_executable_module_interface(mini_path):
     base = [sys.executable, "-m", "twohop"]
     run = lambda extra: subprocess.run(base + extra, capture_output=True,

@@ -16,6 +16,7 @@ from twohop.numerics import integrate_batch
 from twohop.relay import (
     Combiner,
     LinkScenario,
+    LinkTable,
     end_to_end_cdf,
     end_to_end_cdf_grid,
     equivalent_snr,
@@ -102,18 +103,18 @@ def test_floor_bounds_the_absolute_error_and_is_checked():
     hop = GammaSnr(1.0, 1e5)
     gamma = np.array([1e-6, 1e4])
     exact = np.array([_hasna_alouini(g, 1e5, 1e5) for g in gamma])
-    floored = end_to_end_cdf(hop, hop, gamma, tol=1e-6, floor=1e-3)
+    one_link = np.zeros(gamma.size, np.intp)
+    floored = LinkTable([hop], [hop], Combiner.EXACT, 1e-3).cdf(gamma, one_link, 1e-6)
     assert abs(floored[0] - exact[0]) <= 1e-6 * 1e-3
     assert abs(floored[1] - exact[1]) <= 1e-6 * exact[1]
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="floor"):
-            end_to_end_cdf(hop, hop, gamma, floor=bad)
+            LinkTable([hop], [hop], Combiner.EXACT, bad)
     with pytest.raises(ValueError):
-        end_to_end_cdf(hop, hop, gamma, floor=[1e-3, 1e-3])
+        LinkTable([hop], [hop], Combiner.EXACT, [1e-3, 1e-3])
     # one floor per link
-    law = np.array([0, 1])
-    per_link = end_to_end_cdf([hop, hop], [hop, hop], gamma, tol=1e-6, law=law,
-                              floor=[1e-300, 1e-3])
+    per_link = LinkTable([hop, hop], [hop, hop], Combiner.EXACT, [1e-300, 1e-3]).cdf(
+        gamma, np.array([0, 1]), 1e-6)
     assert per_link[1] == floored[1]
     assert per_link[0] == end_to_end_cdf(hop, hop, gamma[0], tol=1e-6)
 
@@ -277,13 +278,10 @@ def test_several_hop2_laws_match_one_law_calls_bit_for_bit(combiner):
     d1 = GammaSnr(shape=4.0, mean=3.0)
     laws = [d2 for _, d2 in BATCH_LAWS]
     law = np.arange(BATCH_POINTS.size) % len(laws)
-    batch = end_to_end_cdf([d1] * len(laws), laws, BATCH_POINTS, combiner, 1e-9, law=law)
+    batch = LinkTable([d1] * len(laws), laws, combiner).cdf(BATCH_POINTS, law, 1e-9)
     alone = [end_to_end_cdf(d1, laws[k], g, combiner, 1e-9)
              for k, g in zip(law, BATCH_POINTS)]
     assert batch.tolist() == alone
-    for bad in (law[:-1], law + 1, law.astype(float)):
-        with pytest.raises(ValueError):
-            end_to_end_cdf([d1] * len(laws), laws, BATCH_POINTS, combiner, 1e-9, law=bad)
 
 
 @pytest.mark.parametrize("combiner", list(Combiner))
@@ -291,12 +289,10 @@ def test_several_links_match_one_link_calls_bit_for_bit(combiner):
     # each pair has its own hop-1 law, plain or selection
     d1s, d2s = (list(hop) for hop in zip(*BATCH_LAWS))
     law = np.arange(BATCH_POINTS.size) % len(BATCH_LAWS)
-    batch = end_to_end_cdf(d1s, d2s, BATCH_POINTS, combiner, 1e-9, law=law)
+    batch = LinkTable(d1s, d2s, combiner).cdf(BATCH_POINTS, law, 1e-9)
     alone = [end_to_end_cdf(d1s[k], d2s[k], g, combiner, 1e-9)
              for k, g in zip(law, BATCH_POINTS)]
     assert batch.tolist() == alone
-    with pytest.raises(ValueError, match="one length"):
-        end_to_end_cdf(d1s[:-1], d2s, BATCH_POINTS, combiner, 1e-9, law=law % 2)
 
 
 # Shapes 0.5 to 32, plain and selection laws (2 to 4 candidates) mixed in
@@ -329,7 +325,7 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
     gamma = np.array([1e-6, 0.05, 0.4, 2.0, 4.0, 5.5])  # below every hop-1 saturation
     law = np.arange(len(TABLE_LAWS))
     d1s = d1 if isinstance(d1, list) else [d1] * len(TABLE_LAWS)
-    end_to_end_cdf(d1s, TABLE_LAWS, gamma, combiner, 1e-6, law=law)
+    LinkTable(d1s, TABLE_LAWS, combiner).cdf(gamma, law, 1e-6)
     integrand, = integrands
     # s = ln(y - gamma), from just above gamma to far into every law's tail
     owner = np.repeat(law, 40)
@@ -384,8 +380,8 @@ def test_public_law_calls_do_not_grow_with_rounds(monkeypatch):
         gamma = np.geomspace(0.01, 20.0, 3 * len(laws))
         calls.clear()
         rounds.clear()
-        end_to_end_cdf([d1] * len(laws), laws, gamma, tol=tol,
-                       law=np.arange(gamma.size) % len(laws))
+        LinkTable([d1] * len(laws), laws, Combiner.EXACT).cdf(
+            gamma, np.arange(gamma.size) % len(laws), tol)
         assert not any(rounds)
         assert calls == []
         counted.append(len(rounds))

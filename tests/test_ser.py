@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
-from twohop.fading import GammaSnr
+from twohop.fading import GammaSnr, LawTable
 from twohop.montecarlo import McRun, mc_ser, simulate_end_to_end
 from twohop.numerics import gaussian_q
-from twohop.relay import Combiner, LinkScenario, end_to_end_cdf
+from twohop.relay import Combiner, LinkScenario, LinkTable, end_to_end_cdf
 from twohop.scenario import link_at, load_scenario, parse_modulations
 from twohop.ser import (
     PskModulation,
@@ -151,15 +151,14 @@ def test_sweep_structure():
 
 
 def test_shared_sweep_matches_single_sweeps_with_fewer_cdf_points(monkeypatch):
-    import twohop.ser as ser_module
-
     requested = []
+    real_cdf = LinkTable.cdf
 
-    def counting_cdf(d1, d2, snr, *args, **kwargs):
-        requested.append(np.size(snr))
-        return end_to_end_cdf(d1, d2, snr, *args, **kwargs)
+    def counting_cdf(table, gamma, *args):
+        requested.append(np.size(gamma))
+        return real_cdf(table, gamma, *args)
 
-    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
     link = _mimo3_link()
     grid = np.array([2.0, 9.0])
     mods = (BPSK, PSK8, PSK16)
@@ -266,28 +265,27 @@ def _fail_near_one_on_the_far_link(mean, gamma):
 
 def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch,
                                                                    fail_inner_quadratures):
-    import twohop.ser as ser_module
-
     link = _tas_harmonic_link()
     mods = (BPSK, PSK8, PSK16)
     grid = [5.0, 26.0]
     clean = ser_sweep(links_at(link, 2.0, grid), mods)
     fail_inner_quadratures(_fail_near_one_on_the_far_link)
     stuck = []
+    real_cdf = LinkTable.cdf
 
-    def recording_cdf(d1, d2, snr, *args, law, **kwargs):
-        values = end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
-        stuck.extend(zip(law[np.isnan(values)].tolist(), snr[np.isnan(values)].tolist()))
+    def recording_cdf(table, gamma, law, tol):
+        values = real_cdf(table, gamma, law, tol)
+        stuck.extend(zip(law[np.isnan(values)].tolist(), gamma[np.isnan(values)].tolist()))
         return values
 
-    monkeypatch.setattr(ser_module, "end_to_end_cdf", recording_cdf)
+    monkeypatch.setattr(LinkTable, "cdf", recording_cdf)
     ser = ser_sweep(links_at(link, 2.0, grid), mods)
     assert np.isnan(ser).tolist() == [[False, True]] * 3
     # the integrals of the 5 dB link ask nothing of the 26 dB one
     assert ser[:, 0].tolist() == clean[:, 0].tolist()
     assert stuck
     assert all(law == 1 and 0.5 < g < 1.1 for law, g in stuck)
-    monkeypatch.setattr(ser_module, "end_to_end_cdf", end_to_end_cdf)
+    monkeypatch.setattr(LinkTable, "cdf", real_cdf)
     for i, mod in enumerate(mods):
         for j, db in enumerate(grid):
             alone = ser_sweep(links_at(link, 2.0, [db]), [mod])
@@ -344,10 +342,11 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     requests = []
     batches = []  # per quadrature batch, the CDF calls of each of its rounds
     real_batch = ser_module.integrate_semi_infinite_batch
+    real_cdf = LinkTable.cdf
 
-    def counting_cdf(d1, d2, snr, *args, law, **kwargs):
-        requests.append(list(zip(law.tolist(), snr.tolist())))
-        return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+    def counting_cdf(table, gamma, law, tol):
+        requests.append(list(zip(law.tolist(), gamma.tolist())))
+        return real_cdf(table, gamma, law, tol)
 
     def counting_batch(f, *args, **kwargs):
         calls_per_round = []
@@ -360,7 +359,7 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
             return out
         return real_batch(integrand, *args, **kwargs)
 
-    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
     monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     mimo_n3 = links_at(scenario.link(), scenario.hop1_snr_db[0], scenario.sweep.values())
@@ -387,33 +386,33 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
 
 
 def _record_rounds(monkeypatch):
-    """Per outer quadrature round, the (link, gamma) pairs of each ``end_to_end_cdf`` call.
+    """Per outer quadrature round, the (link, gamma) pairs of each ``LinkTable.cdf`` call.
 
-    A round is one ``numerics._apply_rule`` call made outside an
-    ``end_to_end_cdf`` call; ``_apply_rule`` evaluates its intervals in
+    A round is one ``numerics._apply_rule`` call made outside a
+    ``LinkTable.cdf`` call; ``_apply_rule`` evaluates its intervals in
     chunks of ``_RULE_CHUNK``, and each chunk makes its own call.
     """
     import twohop.numerics as numerics_module
-    import twohop.ser as ser_module
 
     rounds, depth = [], [0]
     real_rule = numerics_module._apply_rule
+    real_cdf = LinkTable.cdf
 
     def counting_rule(f, a, b, owner):
         if not depth[0]:
             rounds.append([])
         return real_rule(f, a, b, owner)
 
-    def counting_cdf(d1, d2, snr, *args, law, **kwargs):
-        rounds[-1].append(list(zip(law.tolist(), snr.tolist())))
+    def counting_cdf(table, gamma, law, tol):
+        rounds[-1].append(list(zip(law.tolist(), gamma.tolist())))
         depth[0] += 1
         try:
-            return end_to_end_cdf(d1, d2, snr, *args, law=law, **kwargs)
+            return real_cdf(table, gamma, law, tol)
         finally:
             depth[0] -= 1
 
     monkeypatch.setattr(numerics_module, "_apply_rule", counting_rule)
-    monkeypatch.setattr(ser_module, "end_to_end_cdf", counting_cdf)
+    monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
     return rounds
 
 
@@ -451,6 +450,42 @@ def test_requests_per_link_do_not_grow_with_the_batch(monkeypatch, scenario_dir)
         requests = sum(len(call) for calls in rounds for call in calls)
         per_link[count] = requests / count
     assert per_link[480] <= 1.02 * per_link[120]
+
+
+def test_one_sweep_tabulates_each_hop_once_whatever_its_rounds(monkeypatch, scenario_dir):
+    # A sweep's link table serves every outer round: each hop's laws are
+    # tabulated once over all links, and each hop's saturations found once.
+    import twohop.relay as relay_module
+
+    built, saturations, cdf_calls = [], [], []
+    real_table, real_saturation, real_cdf = LawTable, LawTable.saturation, LinkTable.cdf
+
+    def counting_table(laws):
+        built.append(len(laws))
+        return real_table(laws)
+
+    def counting_saturation(table, *args):
+        saturations.append(table.shape.size)
+        return real_saturation(table, *args)
+
+    def counting_cdf(table, *args):
+        cdf_calls.append(1)
+        return real_cdf(table, *args)
+
+    monkeypatch.setattr(relay_module, "LawTable", counting_table)
+    monkeypatch.setattr(LawTable, "saturation", counting_saturation)
+    monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
+    scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
+    mimo_n3 = [scenario.link_at(hop1_db, db) for hop1_db in scenario.hop1_snr_db
+               for db in scenario.sweep.values().tolist()]
+    for links in (mimo_n3, _mimo_n2_links(scenario_dir, 360)):
+        built.clear()
+        saturations.clear()
+        cdf_calls.clear()
+        assert np.isfinite(ser_sweep(links, (BPSK, PSK8, PSK16))).all()
+        assert len(cdf_calls) > 1
+        assert built == [len(links)] * 2
+        assert saturations == [len(links)] * 2
 
 
 def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
