@@ -24,7 +24,7 @@ Callers turn that flag into NaN; nothing here raises on non-convergence.
 
 Each refinement round ranks an integrand's splittable intervals by error,
 largest first, and bisects those above an equal share of half its
-remaining error budget: at least one, and at most what ``max_intervals``
+remaining error budget: at least one, and at most what ``MAX_INTERVALS``
 leaves room for, the earlier of two equal errors first.  Results are
 written once, in the round an integrand retires.
 """
@@ -40,7 +40,6 @@ from scipy import special
 
 __all__ = [
     "QuadratureResult",
-    "BatchQuadrature",
     "integrate_batch",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -51,6 +50,7 @@ __all__ = [
     "DEFAULT_SER_TOL",
     "NESTED_TIGHTENING",
     "START_PARTITION",
+    "MAX_INTERVALS",
 ]
 
 #: Default relative tolerance for inner (CDF) quadratures.
@@ -63,6 +63,9 @@ NESTED_TIGHTENING = 100.0
 #: Breakpoints, as fractions of ``[lo, hi]``, of the pieces every integrand
 #: starts from: bisection's first three rounds on the upper side.
 START_PARTITION = (0.0, 0.5, 0.75, 0.875, 1.0)
+#: Most intervals one integrand may hold: one that reaches it retires
+#: unconverged with its best estimate.
+MAX_INTERVALS = 2048
 
 # QUADPACK's qk21 (Piessens et al. 1983): the 21-point Kronrod rule with
 # its embedded 10-point Gauss rule on [-1, 1].  Nodes ascending; the Gauss
@@ -94,31 +97,19 @@ _WG = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Outcome of one adaptive integration.
+    """Outcome of an adaptive integration: 1-D arrays, one entry per
+    integrand, from the batch integrators; floats from the one-integrand ones.
 
     ``converged`` guarantees ``error_estimate <= tol * max(|value|, floor)``
-    for the tolerance and floor the integral was requested with.
+    for the tolerance and floor the integral was requested with; where it
+    is False the integrand ran out of intervals (or of splittable width)
+    and holds its best estimate.
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class BatchQuadrature:
-    """Per-integrand outcome of one ``integrate_batch`` call (1-D arrays).
-
-    ``converged`` carries the QuadratureResult guarantee; where it is
-    False the integrand ran out of intervals (or of splittable width) and
-    holds its best estimate.
-    """
-
-    value: np.ndarray
-    error_estimate: np.ndarray
-    evaluations: np.ndarray
-    converged: np.ndarray
+    value: np.ndarray | float
+    error_estimate: np.ndarray | float
+    evaluations: np.ndarray | int
+    converged: np.ndarray | bool
 
 
 # Intervals per integrand call: bounds the live node array however many
@@ -159,8 +150,7 @@ def _pick_splits(owner, errs, splittable, threshold, room):
     return splittable & (rank < np.minimum(np.maximum(above, 1), room)[owner])
 
 
-def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
-                    max_intervals: int = 2048) -> BatchQuadrature:
+def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300) -> QuadratureResult:
     """Integrate a batch of integrands, the i-th over ``[lo[i], hi[i]]``.
 
     ``f(x, owner)`` returns the integrands at the abscissae ``x``, where
@@ -169,20 +159,19 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     ``START_PARTITION`` pieces of ``[lo[i], hi[i]]``; every round bisects,
     largest local error first (ties in interval order), its splittable
     intervals above an equal share of half the remaining budget, at least
-    one and at most what ``max_intervals`` leaves room for, so flat regions
+    one and at most what ``MAX_INTERVALS`` leaves room for, so flat regions
     are left alone while problem spots are chased.  An integrand
     retires converged once its summed local errors drop below
     ``tol * max(|value|, floor[i])`` (``floor`` is one nonnegative value
     for all, or one per integrand), and unconverged, with its best
-    estimate, once it reaches ``max_intervals`` or has no interval left
+    estimate, once it reaches ``MAX_INTERVALS`` or has no interval left
     wider than rounding.  A NaN integrand value retires its integrand
     unconverged, with value NaN, in the round that meets it; an infinite
     one counts as value 0 with an infinite error, to be refined.  Every
     decision and sum is per integrand, so an integrand's result does not
     depend on the rest of the batch; its results are written once, in the
     round it retires.  ``evaluations`` counts every node evaluated, the
-    start pieces' included; a ``max_intervals`` below the number of start
-    pieces raises ``ValueError``.
+    start pieces' included.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -197,10 +186,8 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
     floor = np.broadcast_to(np.asarray(floor, dtype=float), lo.shape)
     if not np.all((0.0 <= floor) & (floor < math.inf)):
         raise ValueError(f"floor must be nonnegative and finite, got {floor}")
-    pieces = len(START_PARTITION) - 1
-    if max_intervals < pieces:
-        raise ValueError(f"max_intervals must be at least {pieces}, got {max_intervals}")
 
+    pieces = len(START_PARTITION) - 1
     n = lo.size
     value, error = np.zeros(n), np.zeros(n)
     converged = np.zeros(n, dtype=bool)
@@ -222,7 +209,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
         target = tol * np.maximum(np.abs(total), floor)
         ok = total_err <= target
         splittable = (b - a) > width_floor[owner]
-        retire = (ok | (count >= max_intervals) | np.isnan(total)
+        retire = (ok | (count >= MAX_INTERVALS) | np.isnan(total)
                   | (np.bincount(owner[splittable], minlength=n) == 0))[owner]
         i = owner[retire]
         value[i], error[i], converged[i] = total[i], total_err[i], ok[i]
@@ -232,7 +219,7 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
         if not owner.size:
             break
 
-        pick = _pick_splits(owner, errs, splittable, target / (2.0 * count), max_intervals - count)
+        pick = _pick_splits(owner, errs, splittable, target / (2.0 * count), MAX_INTERVALS - count)
         count += np.bincount(owner[pick], minlength=n)
         pa, pb, po = a[pick], b[pick], owner[pick]
         mid = 0.5 * (pa + pb)
@@ -247,13 +234,12 @@ def integrate_batch(f: Callable, lo, hi, tol: float, *, floor=1e-300,
         vals = np.concatenate([vals[rest], sub_vals])
         errs = np.concatenate([errs[rest], sub_errs])
 
-    return BatchQuadrature(value, error, (2 * count - pieces) * _NODES.size, converged)
+    return QuadratureResult(value, error, (2 * count - pieces) * _NODES.size, converged)
 
 
-def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *,
-                     max_intervals: int = 2048) -> QuadratureResult:
+def integrate_finite(f: Callable, lo: float, hi: float, tol: float) -> QuadratureResult:
     """Integrate ``f`` over ``[lo, hi]``: the one-integrand case of ``integrate_batch``."""
-    r = integrate_batch(lambda x, _: f(x), lo, hi, tol, max_intervals=max_intervals)
+    r = integrate_batch(lambda x, _: f(x), lo, hi, tol)
     return QuadratureResult(float(r.value[0]), float(r.error_estimate[0]),
                             int(r.evaluations[0]), bool(r.converged[0]))
 
@@ -274,25 +260,21 @@ def _unit_interval(f: Callable, lo) -> Callable:
     return mapped
 
 
-def integrate_semi_infinite(f: Callable, lo: float, tol: float, *,
-                            max_intervals: int = 2048) -> QuadratureResult:
+def integrate_semi_infinite(f: Callable, lo: float, tol: float) -> QuadratureResult:
     """Integrate ``f`` over ``[lo, inf)`` via ``x = lo + t/(1-t)`` on [0, 1)."""
     # Through integrate_finite, which bench/tracing.py counts by name.
     mapped = _unit_interval(lambda x, _: f(x), lo)
-    return integrate_finite(lambda t: mapped(t, 0), 0.0, 1.0, tol,
-                            max_intervals=max_intervals)
+    return integrate_finite(lambda t: mapped(t, 0), 0.0, 1.0, tol)
 
 
-def integrate_semi_infinite_batch(f: Callable, lo, tol: float, *,
-                                  max_intervals: int = 2048) -> BatchQuadrature:
+def integrate_semi_infinite_batch(f: Callable, lo, tol: float) -> QuadratureResult:
     """``integrate_semi_infinite`` for a batch: ``f(x, owner)`` over ``[lo[i], inf)``.
 
     ``lo`` is a 1-D array, one entry per integrand; the batch runs through
     ``integrate_batch``.
     """
     n = np.size(lo)
-    return integrate_batch(_unit_interval(f, lo), np.zeros(n), np.ones(n), tol,
-                           max_intervals=max_intervals)
+    return integrate_batch(_unit_interval(f, lo), np.zeros(n), np.ones(n), tol)
 
 
 _SQRT2 = math.sqrt(2.0)

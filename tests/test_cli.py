@@ -9,17 +9,20 @@ import io
 import math
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohop import cli, montecarlo
 from twohop.cli import _fmt_prob, main
 from twohop.relay import Combiner
-from twohop.scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
-                             load_scenario)
+from twohop.scenario import (_COMMON_KEYS, _CUSTOM_KEYS, _NAMED_KEYS, MAX_ABS_DB, MAX_ANTENNAS,
+                             MAX_FADING_FIGURE, MAX_MC_SAMPLES, load_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -613,6 +616,79 @@ def test_a_command_rejects_the_flags_it_does_not_use(argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["ser-sweep", "cdf", "validate", "compare-cases"])
+def test_each_command_prints_its_help(command):
+    # argparse %-formats every help string, so a stray % would raise here
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith(f"usage: twohop {command}")
+
+
+SCENARIO_TEXTS = {path.stem: path.read_text(encoding="utf-8")
+                  for path in sorted((Path(__file__).resolve().parent.parent
+                                      / "scenarios").glob("*.scenario"))}
+# Malformed and boundary values, none of which makes a slow valid run: no
+# long sweep and no large sample count is among them.
+FUZZ_VALUES = ["", " ", "x", "nan", "inf", "-inf", "-1", "0", "0.49", "0.5", "1", "2.5",
+               "64", "65", "100", "100.1", "1e308", str(10 ** 400), "0x10", "1_0",
+               "-1000", "1000", "1000.0001", "3, -1e9", "2,", ",", "0:0:1", "0:4:0",
+               "1:0:1", "0:4", "1000:1000:1", "-1000:-1000:1", "nan:4:2", "0:4:inf",
+               "BPSK", "BPSK, PSK16", "PSK3", "QAM4", "MIMO_MIMO", "CUSTOM", "SIMO_MISO",
+               "TAS_MRC", "STBC", "exact", "harmonic", str(MAX_MC_SAMPLES + 1), "=", "#"]
+FUZZ_KEYS = sorted(_COMMON_KEYS | _NAMED_KEYS | _CUSTOM_KEYS) + ["bogus", "N_S", ""]
+FUZZ_FLAGS = [[], ["--tol", "1e-3"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "x"],
+              ["--seed", "0"], ["--seed", "-1"], ["--seed", str(2 ** 64)],
+              ["--threads", "2"], ["--threads", "0"], ["--samples", "0"],
+              ["--samples", str(MAX_MC_SAMPLES + 1)], ["--combiner", "harmonic"],
+              ["--combiner", "mean"], ["--full-precision"], ["--grid", "0:2:3"],
+              ["--grid", "nan"], ["--grid", "1,0"], ["--n", "2"], ["--bogus"]]
+
+
+def _edit(lines, op, at, key, value):
+    """One mutation of a scenario's lines (``at`` wraps round their count)."""
+    i = at % len(lines)
+    if op == "add":
+        lines.append(f"{key} = {value}")
+    elif op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "unkey":
+        lines[i] = lines[i].replace("=", " ", 1)
+    elif op == "truncate":
+        lines[i] = lines[i][:len(lines[i]) // 2]
+    else:  # "set": keep the key, replace the value
+        lines[i] = f"{lines[i].partition('=')[0]}= {value}"
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(stem=st.sampled_from(sorted(SCENARIO_TEXTS)),
+       edits=st.lists(st.tuples(
+           st.sampled_from(["add", "drop", "duplicate", "unkey", "truncate", "set"]),
+           st.integers(0, 63), st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+           max_size=3),
+       command=st.sampled_from(["ser-sweep", "cdf", "validate"]),
+       flag=st.sampled_from(FUZZ_FLAGS))
+def test_fuzzed_scenarios_and_flags_exit_cleanly(stem, edits, command, flag):
+    # A shipped scenario cut to a three-point sweep, then mutated: whatever
+    # the text and flag, the command ends with an exit code, not a traceback.
+    lines = SCENARIO_TEXTS[stem].replace("0:20:1", "0:20:10").replace("0:20:2", "0:20:10")
+    lines = lines.splitlines()
+    for edit in edits:
+        _edit(lines, *edit)
+    with tempfile.TemporaryDirectory() as tmp:  # Hypothesis rejects function-scoped fixtures
+        path = Path(tmp) / f"{stem}.scenario"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, "--scenario", str(path), "--samples", "1500", *flag])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, lines, command, flag)
 
 
 def test_executable_module_interface(mini_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twohop import numerics
 from twohop.numerics import (
     _NODES,
     _WG,
@@ -18,6 +19,7 @@ from twohop.numerics import (
     integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     regularized_lower_gamma,
 )
 
@@ -91,21 +93,26 @@ def test_result_fields_are_consistent():
     assert result.error_estimate >= 0.0
     # converged promises the error estimate honoured the request
     assert result.error_estimate <= 1e-10 * max(abs(result.value), 1e-12)
+    # one type for every integrator: floats for one integrand, 1-D arrays for a batch
+    single = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, 1e-10)
+    batch = integrate_semi_infinite_batch(lambda x, _: np.exp(-x), [0.0, 1.0], 1e-10)
+    assert isinstance(single, QuadratureResult) and isinstance(single.value, float)
+    assert isinstance(batch, QuadratureResult) and batch.value.shape == (2,)
 
 
-def test_endpoint_singularity_is_integrable():
+def test_endpoint_singularity_is_integrable(monkeypatch):
     # 1/sqrt(x) is infinite at the left endpoint; nodes are interior, so
     # the engine can still dig in by bisection and certify a moderate
     # tolerance (machine-level ones would need sub-float interval widths).
-    result = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 4.0, 1e-7,
-                              max_intervals=8192)
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 8192)
+    result = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, 4.0, 1e-7)
     assert result.converged
     assert abs(result.value - 4.0) < 1e-6
 
 
-def test_budget_exhaustion_reports_instead_of_raising():
-    result = integrate_finite(lambda x: np.sin(1.0 / x), 1e-9, 1.0, 1e-15,
-                              max_intervals=8)
+def test_budget_exhaustion_reports_instead_of_raising(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 8)
+    result = integrate_finite(lambda x: np.sin(1.0 / x), 1e-9, 1.0, 1e-15)
     assert not result.converged
     assert result.error_estimate > 0.0
     assert math.isfinite(result.value)
@@ -179,11 +186,9 @@ def test_evaluations_count_the_start_pieces():
     assert result.evaluations == (len(START_PARTITION) - 1) * 21 == 84
 
 
-def test_rejects_fewer_intervals_than_start_pieces():
-    pieces = len(START_PARTITION) - 1
-    with pytest.raises(ValueError, match="max_intervals"):
-        integrate_batch(lambda x, _: x, [0.0], [1.0], 1e-8, max_intervals=pieces - 1)
-    assert integrate_finite(lambda x: x, 0.0, 1.0, 1e-8, max_intervals=pieces).converged
+def test_a_budget_of_the_start_pieces_converges_on_a_line(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", len(START_PARTITION) - 1)
+    assert integrate_finite(lambda x: x, 0.0, 1.0, 1e-8).converged
 
 
 BATCH_INTEGRANDS = [
@@ -203,21 +208,23 @@ def _batched(x, owner):
     return out
 
 
-def test_batch_matches_one_integrand_calls_bit_for_bit():
+def test_batch_matches_one_integrand_calls_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 4096)
     lo = [c[1] for c in BATCH_INTEGRANDS]
     hi = [c[2] for c in BATCH_INTEGRANDS]
-    batch = integrate_batch(_batched, lo, hi, 1e-9, max_intervals=4096)
+    batch = integrate_batch(_batched, lo, hi, 1e-9)
     assert batch.converged.all()
     for i, (f, a, b) in enumerate(BATCH_INTEGRANDS):
-        alone = integrate_finite(f, a, b, 1e-9, max_intervals=4096)
+        alone = integrate_finite(f, a, b, 1e-9)
         assert alone.converged
         assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i]) == (
             alone.value, alone.error_estimate, alone.evaluations)
 
 
-def test_stuck_integrand_retires_alone():
+def test_stuck_integrand_retires_alone(monkeypatch):
     # sin(1/x) near 1e-9 exhausts 64 intervals while the others go on
     # refining; every integrand ends as its one-integrand call does
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 64)
     cases = [(lambda x: x * x, 0.0, 1.0),
              (lambda x: np.sin(1.0 / x), 1e-9, 1.0),
              (lambda x: 1.0 / np.sqrt(x), 0.0, 4.0)]
@@ -225,11 +232,10 @@ def test_stuck_integrand_retires_alone():
     def f(x, owner):
         return np.choose(owner, [g(x) for g, _, _ in cases])
 
-    batch = integrate_batch(f, [c[1] for c in cases], [c[2] for c in cases], 1e-12,
-                            max_intervals=64)
+    batch = integrate_batch(f, [c[1] for c in cases], [c[2] for c in cases], 1e-12)
     assert not batch.converged[1]
     for i, (g, a, b) in enumerate(cases):
-        alone = integrate_finite(g, a, b, 1e-12, max_intervals=64)
+        alone = integrate_finite(g, a, b, 1e-12)
         assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i],
                 batch.converged[i]) == (alone.value, alone.error_estimate,
                                         alone.evaluations, alone.converged)
@@ -240,13 +246,14 @@ def _poisoned(bad: float):
     return lambda x: np.where(x > 0.9, bad, x * x)
 
 
-def test_nan_integrand_retires_at_once_and_alone():
+def test_nan_integrand_retires_at_once_and_alone(monkeypatch):
     # A NaN value retires its integrand unconverged after the start pieces;
     # an infinite one is bisected until the budget runs out.
     start = (len(START_PARTITION) - 1) * 21
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 64)
     with np.errstate(invalid="ignore"):  # inf - inf in the infinite pieces' errors
-        nan_alone = integrate_finite(_poisoned(math.nan), 0.0, 1.0, 1e-9, max_intervals=64)
-        inf_alone = integrate_finite(_poisoned(math.inf), 0.0, 1.0, 1e-9, max_intervals=64)
+        nan_alone = integrate_finite(_poisoned(math.nan), 0.0, 1.0, 1e-9)
+        inf_alone = integrate_finite(_poisoned(math.inf), 0.0, 1.0, 1e-9)
     assert not nan_alone.converged and math.isnan(nan_alone.value)
     assert nan_alone.evaluations == start < inf_alone.evaluations
     assert not inf_alone.converged
@@ -257,11 +264,11 @@ def test_nan_integrand_retires_at_once_and_alone():
     def f(x, owner):
         return np.choose(owner, [g(x) for g, _, _ in cases])
 
-    batch = integrate_batch(f, [c[1] for c in cases], [c[2] for c in cases], 1e-9,
-                            max_intervals=4096)
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 4096)
+    batch = integrate_batch(f, [c[1] for c in cases], [c[2] for c in cases], 1e-9)
     assert batch.converged.tolist() == [True, False, True]
     for i, (g, a, b) in enumerate(cases):
-        alone = integrate_finite(g, a, b, 1e-9, max_intervals=4096)
+        alone = integrate_finite(g, a, b, 1e-9)
         assert np.array_equal([batch.value[i], batch.error_estimate[i]],
                               [alone.value, alone.error_estimate], equal_nan=True)
         assert (batch.evaluations[i], batch.converged[i]) == (alone.evaluations,
@@ -310,7 +317,7 @@ def test_pick_splits_matches_the_three_step_owner_loop():
     assert min(seen.values()) > 0
 
 
-def test_fallback_picks_in_one_round_match_one_integrand_calls():
+def test_fallback_picks_in_one_round_match_one_integrand_calls(monkeypatch):
     # 1/sqrt|x - c|: once nodes land on c (a bisection point, or 0.3 once
     # intervals shrink to rounding width), the interval there has an
     # infinite error and no splittable width, and every other interval is
@@ -324,14 +331,13 @@ def test_fallback_picks_in_one_round_match_one_integrand_calls():
         with np.errstate(divide="ignore"):
             return 1.0 / np.sqrt(np.abs(x - poles[owner]))
 
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 200)
     with np.errstate(invalid="ignore"):  # inf - inf in a stuck interval's error
-        batch = integrate_batch(f, np.zeros(poles.size), np.ones(poles.size), 1e-9,
-                                max_intervals=200)
+        batch = integrate_batch(f, np.zeros(poles.size), np.ones(poles.size), 1e-9)
     assert batch.converged.tolist() == [False, False, False, False, True]
     for i in range(poles.size):
         with np.errstate(invalid="ignore"):
-            alone = integrate_batch(lambda x, _: f(x, np.full(x.size, i)), 0.0, 1.0, 1e-9,
-                                    max_intervals=200)
+            alone = integrate_batch(lambda x, _: f(x, np.full(x.size, i)), 0.0, 1.0, 1e-9)
         assert (batch.value[i], batch.error_estimate[i], batch.evaluations[i],
                 batch.converged[i]) == (alone.value[0], alone.error_estimate[0],
                                         alone.evaluations[0], alone.converged[0])
