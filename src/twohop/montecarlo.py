@@ -2,10 +2,12 @@
 
 Each hop SNR is drawn straight from the Gamma law that its combining
 scheme gives a sum of i.i.d. Nakagami-m branch SNRs: one variate per
-sample, or one per transmit antenna under TAS.  The shapes and the
-convention factors are worked out here from the ``HopConfig`` fields,
-not taken from ``diversity``, so the simulation stays an independent
-check of the antenna conventions that the analytic laws encode.
+sample, or one per transmit antenna under TAS; a variate of integer
+shape 2 to 5 is drawn as an Erlang variate from that many uniforms, any
+other with ``Generator.gamma``.  The shapes and the convention factors
+are worked out here from the ``HopConfig`` fields, not taken from
+``diversity``, so the simulation stays an independent check of the
+antenna conventions that the analytic laws encode.
 
 Sampling is organized in fixed-size chunks; chunk i draws from a fresh
 generator seeded by SeedSequence((master_seed, stream, i)).  Workers only
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -44,6 +47,14 @@ _CHUNK = 1 << 16
 _HOP_STREAM = 0
 _LINK_STREAM_HOP1 = 1
 _LINK_STREAM_HOP2 = 2
+# Integer Gamma shapes from 2 to this cut are drawn as Erlang variates.  Per
+# variate on one Xeon core (NumPy 2.4), rng.gamma takes 23 ns at shapes 2-7;
+# the Erlang draw takes 8, 11, 15 and 19 ns at k = 2..5, and 22 ns at k = 6.
+_ERLANG_MAX_SHAPE = 5
+# Uniforms in one row block of an Erlang draw (256 KB).  A 512 KB block
+# was slower: freed with its output, glibc returned it to the kernel and
+# the next draw faulted its pages in again.
+_ERLANG_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,46 +95,108 @@ def _map_chunks(run: McRun, job) -> list:
         return list(pool.map(lambda span: job(*span), spans))
 
 
-def _run_chunked(run: McRun, stream: int, compute) -> np.ndarray:
-    """Fill an n_samples array chunk by chunk; layout independent of workers."""
+def _run_chunked(run: McRun, stream: int, fill_chunk) -> np.ndarray:
+    """Fill an n_samples array chunk by chunk; layout independent of workers.
+
+    ``fill_chunk(rng, out)`` writes one chunk's values into the slice ``out``.
+    """
     out = np.empty(run.n_samples, dtype=float)
 
     def fill(index, start, stop):
-        out[start:stop] = compute(_chunk_rng(run.master_seed, stream, index), stop - start)
+        fill_chunk(_chunk_rng(run.master_seed, stream, index), out[start:stop])
 
     _map_chunks(run, fill)
     return out
 
 
-def _hop_chunk(cfg: HopConfig, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n effective hop SNRs: one Gamma variate per sample, n_tx under TAS_MRC.
+def _hop_chunk(cfg: HopConfig, rng: np.random.Generator, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Draw n effective hop SNRs into ``out`` (a new array if None) and return it.
 
-    A branch SNR under Nakagami-m fading is Gamma(m, theta) with theta =
-    mean_branch_snr / m, and a sum of k i.i.d. Gamma(m, theta) variates is
-    Gamma(k m, theta).  Each scheme's combined SNR is such a sum, so one
-    draw of the summed law is exact in distribution:
+    One Gamma variate per sample, n_tx under TAS_MRC.  A branch SNR under
+    Nakagami-m fading is Gamma(m, theta) with theta = mean_branch_snr / m,
+    and a sum of k i.i.d. Gamma(m, theta) variates is Gamma(k m, theta).
+    Each scheme's combined SNR is such a sum, so one draw of the summed
+    law is exact in distribution:
 
     * MRC adds its n_rx receive branches;
     * STBC adds its n_tx transmit branches and divides by n_tx, the
       per-antenna power split;
     * STBC_MRC adds all n_tx x n_rx branches, with the same split;
     * TAS_MRC takes the largest of n_tx independent n_rx-branch MRC sums.
+
+    ``_gamma_draws`` picks the sampler from the summed shape: an Erlang
+    variate for an integer shape from 2 to ``_ERLANG_MAX_SHAPE``, else
+    ``rng.gamma``.
     """
+    out = np.empty(n) if out is None else out
     theta = cfg.mean_branch_snr / cfg.m
     if cfg.scheme is CombiningScheme.MRC:
-        return rng.gamma(cfg.m * cfg.n_rx, theta, n)
-    if cfg.scheme is CombiningScheme.STBC:
-        return rng.gamma(cfg.m * cfg.n_tx, theta, n) / cfg.n_tx
-    if cfg.scheme is CombiningScheme.STBC_MRC:
-        return rng.gamma(cfg.m * cfg.n_tx * cfg.n_rx, theta, n) / cfg.n_tx
-    # TAS_MRC: one np.maximum per column, since a max over the short axis
-    # costs many times more per sample; max is exact in any order.
-    return functools.reduce(np.maximum, rng.gamma(cfg.m * cfg.n_rx, theta, (n, cfg.n_tx)).T)
+        _gamma_draws(rng, cfg.m * cfg.n_rx, theta, out)
+    elif cfg.scheme is CombiningScheme.STBC:
+        _gamma_draws(rng, cfg.m * cfg.n_tx, theta, out)
+        out /= cfg.n_tx
+    elif cfg.scheme is CombiningScheme.STBC_MRC:
+        _gamma_draws(rng, cfg.m * cfg.n_tx * cfg.n_rx, theta, out)
+        out /= cfg.n_tx
+    else:
+        _gamma_draws(rng, cfg.m * cfg.n_rx, theta, out, cfg.n_tx)
+    return out
+
+
+def _gamma_draws(rng: np.random.Generator, shape: float, theta: float, out: np.ndarray,
+                 width: int = 1) -> None:
+    """Fill ``out`` with Gamma(shape, theta) variates, or the largest of each row of ``width``.
+
+    An integer shape k in [2, _ERLANG_MAX_SHAPE] is an Erlang law, drawn as
+    -theta log prod(1 - U_i) over k uniforms (Devroye 1986, IX.3); 1 - U
+    lies in (0, 1], so the log is finite.  Variate i of the row-major
+    (n, width) layout takes uniforms i*k ... i*k + k - 1, so the first
+    variates of a longer draw are those of a shorter one.  The uniforms
+    come in row blocks of at most ``_ERLANG_BLOCK`` and at most
+    n * max(1, width - 1) / 2 values: a block holds less memory than the
+    n variates of rng.gamma at width 1, and with ``out`` less than its
+    (n, width) array at width > 1.
+
+    Every other shape gives rng.gamma's values bit for bit: at width 1
+    through rng.standard_gamma, of which rng.gamma(shape, theta) is theta
+    times, so that it can draw into ``out``.
+    """
+    n = len(out)
+    if shape != int(shape) or not 2 <= shape <= _ERLANG_MAX_SHAPE:
+        if width == 1:
+            rng.standard_gamma(shape, out=out)
+            out *= theta
+            return
+        # One np.maximum per column, since a max over the short axis costs
+        # many times more per sample; max is exact in any order.
+        draws = rng.gamma(shape, theta, (n, width))
+        np.maximum(draws[:, 0], draws[:, 1], out=out)
+        for col in range(2, width):
+            np.maximum(out, draws[:, col], out=out)
+        return
+    k = int(shape)
+    rows = max(1, min(n * max(1, width - 1) // 2, _ERLANG_BLOCK) // (width * k))
+    block = np.empty((rows, width, k))
+    for start in range(0, n, rows):
+        u = rng.random(out=block[:min(rows, n - start)])
+        np.subtract(1.0, u, out=u)
+        row_min = out[start:start + len(u)]
+        # The largest variate of a row has the smallest product: one log per row.
+        for col in range(width):
+            prod = row_min if col == 0 else u[:, col, 0]
+            np.multiply(u[:, col, 0], u[:, col, 1], out=prod)
+            for i in range(2, k):
+                prod *= u[:, col, i]
+            if col:
+                np.minimum(row_min, prod, out=row_min)
+    np.log(out, out=out)
+    out *= -theta
 
 
 def simulate_hop(cfg: HopConfig, run: McRun, stream: int = _HOP_STREAM) -> np.ndarray:
     """Effective hop SNR samples (length run.n_samples)."""
-    return _run_chunked(run, stream, lambda rng, n: _hop_chunk(cfg, rng, n))
+    return _run_chunked(run, stream, lambda rng, out: _hop_chunk(cfg, rng, len(out), out))
 
 
 def simulate_end_to_end(scenario: LinkScenario, run: McRun) -> np.ndarray:
@@ -164,7 +237,7 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     d = values - mean
     # An elementwise sum, not d @ d: a BLAS dot inside the worker threads
     # starts BLAS threads of its own and oversubscribes the cores.
-    return values.size, mean, float((d * d).sum())
+    return values.size, mean, float(np.multiply(d, d, out=d).sum())
 
 
 def _merge(a: tuple[int, float, float], b: tuple[int, float, float]):
@@ -200,16 +273,25 @@ def sweep_eq_samples(links, mods, run: McRun):
     unit, = units
     hop1_means = dict.fromkeys(link.hop1.mean_branch_snr for link in links)
 
+    workspaces = threading.local()
+
     def chunk(index, start, stop):
-        base1 = _hop_chunk(unit.hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
-                           stop - start)
-        base2 = _hop_chunk(unit.hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
-                           stop - start)
-        g1 = {mean: base1 * mean for mean in hop1_means}
+        # Each worker thread keeps its draws and scaled hops in one workspace
+        # across its chunks: allocated afresh per chunk, glibc handed those
+        # pages back to the kernel and faulted them in again on each chunk.
+        if not hasattr(workspaces, "rows"):
+            workspaces.rows = np.empty((3 + len(hop1_means), min(_CHUNK, run.n_samples)))
+        base1, base2, g2, *scaled = workspaces.rows[:, :stop - start]
+        _hop_chunk(unit.hop1, _chunk_rng(run.master_seed, _LINK_STREAM_HOP1, index),
+                   stop - start, base1)
+        _hop_chunk(unit.hop2, _chunk_rng(run.master_seed, _LINK_STREAM_HOP2, index),
+                   stop - start, base2)
+        g1 = {mean: np.multiply(base1, mean, out=row) for mean, row in zip(hop1_means, scaled)}
         moments = []
         for link in links:
             eq = equivalent_snr(g1[link.hop1.mean_branch_snr],
-                                base2 * link.hop2.mean_branch_snr, unit.combiner)
+                                np.multiply(base2, link.hop2.mean_branch_snr, out=g2),
+                                unit.combiner)
             moments.append([_moments(conditional_sep(mod, eq)) for mod in mods])
         return moments
 

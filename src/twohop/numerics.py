@@ -282,7 +282,10 @@ _SQRT2 = math.sqrt(2.0)
 
 def gaussian_q(x):
     """Gaussian tail probability Q(x) = P{N(0,1) > x} = erfc(x/sqrt(2))/2."""
-    out = 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    values = np.asarray(x, dtype=float)
+    out = np.divide(values, _SQRT2, out=np.empty_like(values))
+    special.erfc(out, out=out)
+    out *= 0.5
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -56,6 +56,7 @@ A gamma whose quadrature does not converge comes back as NaN, from
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -96,16 +97,28 @@ class LinkScenario:
 
 
 def equivalent_snr(snr1, snr2, combiner: Combiner = Combiner.EXACT):
-    """Combine per-hop SNRs samplewise; broadcasts over arrays."""
+    """Combine per-hop SNRs samplewise; broadcasts over arrays.
+
+    EXACT gives g1 g2 / (g1 + g2 + 1), HARMONIC g1 g2 / (g1 + g2) and 0 at
+    0/0.  A negative, NaN or infinite SNR raises ``ValueError``.
+    """
     g1 = np.asarray(snr1, dtype=float)
     g2 = np.asarray(snr2, dtype=float)
-    if np.any(g1 < 0) or np.any(g2 < 0):
-        raise ValueError("SNRs must be nonnegative")
+    for g in (g1, g2):
+        # min and max propagate NaN and allocate nothing.
+        if g.size and not (g.min() >= 0.0 and g.max() < math.inf):
+            raise ValueError("SNRs must be nonnegative and finite")
+    shape = np.broadcast_shapes(g1.shape, g2.shape)
+    den = np.add(g1, g2, out=np.empty(shape))
+    out = np.multiply(g1, g2, out=np.empty(shape))
     if combiner is Combiner.EXACT:
-        out = g1 * g2 / (g1 + g2 + 1.0)
+        den += 1.0
+        out /= den
     else:
-        den = g1 + g2
-        out = np.divide(g1 * g2, den, out=np.zeros_like(den), where=den > 0)
+        # den is 0 only where both SNRs are zeros; those cells give +0.0.
+        live = den > 0.0
+        np.divide(out, den, out=out, where=live)
+        np.copyto(out, 0.0, where=~live)
     if out.ndim == 0:
         return float(out)
     return out

@@ -60,11 +60,17 @@ class PskModulation:
 
 
 def conditional_sep(mod: PskModulation, snr):
-    """Symbol error probability a*Q(sqrt(2*b*snr)) at known SNR."""
+    """Symbol error probability a*Q(sqrt(2*b*snr)) at known SNR.
+
+    A negative or NaN SNR raises ``ValueError``.
+    """
     values = np.asarray(snr, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("snr must be nonnegative")
-    out = mod.a * gaussian_q(np.sqrt(2.0 * mod.b * values))
+    # min propagates NaN and allocates nothing.
+    if values.size and not values.min() >= 0.0:
+        raise ValueError("snr must be nonnegative, not NaN")
+    root = np.multiply(values, 2.0 * mod.b, out=np.empty_like(values))
+    out = gaussian_q(np.sqrt(root, out=root))
+    out *= mod.a
     if np.ndim(snr) == 0:
         return float(out)
     return out

@@ -96,7 +96,14 @@ KS_CRITICAL = math.sqrt(-math.log(1e-6) / KS_SAMPLES)
     HopConfig(3, 4, 1.5, 0.7, CombiningScheme.STBC_MRC),
     HopConfig(3, 2, 0.5, 3.0, CombiningScheme.TAS_MRC),
     HopConfig(4, 4, 2.0, 1.3, CombiningScheme.TAS_MRC),
-], ids=["mrc-1x4", "stbc-4x1", "stbc_mrc-3x4", "tas-3x2", "tas-4x4"])
+    # Erlang shapes
+    HopConfig(1, 2, 1.0, 2.5, CombiningScheme.MRC),
+    HopConfig(3, 1, 1.0, 1.8, CombiningScheme.STBC),
+    HopConfig(2, 2, 1.0, 0.6, CombiningScheme.STBC_MRC),
+    HopConfig(3, 2, 1.0, 2.0, CombiningScheme.TAS_MRC),
+    HopConfig(2, 2, 2.0, 3.5, CombiningScheme.TAS_MRC),
+], ids=["mrc-1x4", "stbc-4x1", "stbc_mrc-3x4", "tas-3x2", "tas-4x4", "mrc-1x2-m1",
+        "stbc-3x1-m1", "stbc_mrc-2x2-m1", "tas-3x2-m1", "tas-2x2-m2"])
 def test_hop_draws_match_a_per_branch_simulation(cfg):
     """A summed Gamma law per hop has the law of the branches it replaces."""
     drawn = simulate_hop(cfg, McRun(31, KS_SAMPLES))
@@ -111,6 +118,17 @@ def test_tas_draws_are_row_maxima_of_the_same_generator_output(n_tx):
     rows = np.random.default_rng(5).gamma(cfg.m * cfg.n_rx, cfg.mean_branch_snr / cfg.m,
                                           (10_000, n_tx))
     assert np.array_equal(drawn, rows.max(axis=1))
+
+
+@pytest.mark.parametrize("cfg, shape, split", [
+    (HopConfig(1, 3, 1.5, 2.0, CombiningScheme.MRC), 4.5, 1),
+    (HopConfig(2, 1, 0.5, 3.0, CombiningScheme.STBC), 1.0, 2),
+    (HopConfig(3, 3, 1.0, 0.7, CombiningScheme.STBC_MRC), 9.0, 3),
+], ids=["mrc-1x3-m1.5", "stbc-2x1-m0.5", "stbc_mrc-3x3-m1"])
+def test_other_shapes_draw_rng_gamma_bit_for_bit(cfg, shape, split):
+    drawn = montecarlo._hop_chunk(cfg, np.random.default_rng(5), 10_000)
+    want = np.random.default_rng(5).gamma(shape, cfg.mean_branch_snr / cfg.m, 10_000) / split
+    assert np.array_equal(drawn, want)
 
 
 def test_same_seed_reproduces_and_seeds_differ():
@@ -133,6 +151,38 @@ def test_growing_a_run_keeps_its_prefix():
     short = simulate_hop(HOP, McRun(9, 70_000))
     long = simulate_hop(HOP, McRun(9, 80_000, 4))
     assert np.array_equal(short, long[:70_000])
+
+
+def test_growing_an_erlang_run_keeps_its_prefix():
+    cfg = HopConfig(1, 3, 1.0, 2.0, CombiningScheme.MRC)
+    short = simulate_hop(cfg, McRun(9, 70_000))
+    long = simulate_hop(cfg, McRun(9, 80_000, 4))
+    assert np.array_equal(short, long[:70_000])
+
+
+@pytest.mark.parametrize("cfg", [HopConfig(2, 2, 2.0, 1.0, CombiningScheme.TAS_MRC),
+                                 HopConfig(4, 2, 1.0, 1.0, CombiningScheme.TAS_MRC)],
+                         ids=["2x2-m2", "4x2-m1"])
+@pytest.mark.parametrize("n", [montecarlo._CHUNK, 10_000])
+def test_erlang_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n):
+    def peak(draw):
+        tracemalloc.start()
+        try:
+            draw(np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gamma = peak(lambda rng: rng.gamma(cfg.m * cfg.n_rx, 1.0 / cfg.m, (n, cfg.n_tx)))
+    assert peak(lambda rng: montecarlo._hop_chunk(cfg, rng, n)) <= gamma
+
+
+def test_moments_equal_the_plain_expression_bit_for_bit():
+    values = np.random.default_rng(6).random(5000)
+    values[::4] = 0.0
+    n, mean, m2 = montecarlo._moments(values)
+    d = values - float(values.mean())
+    assert (n, mean, m2) == (5000, float(values.mean()), float((d * d).sum()))
 
 
 def test_end_to_end_determinism_and_agreement():

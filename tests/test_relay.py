@@ -66,6 +66,39 @@ def test_combiner_rejects_negative_input():
         equivalent_snr(np.array([0.5, -0.1]), 1.0)
 
 
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("g1, g2", [
+    (np.inf, 5.0), (5.0, np.array([1.0, np.inf])), (np.nan, 1.0), (1.0, np.array([0.0, np.nan])),
+], ids=["inf", "inf-array", "nan", "nan-array"])
+def test_combiner_rejects_nan_and_infinite_input(g1, g2, combiner):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            equivalent_snr(g1, g2, combiner)
+
+
+@pytest.mark.parametrize("combiner", list(Combiner))
+def test_combiner_keeps_empty_and_broadcast_shapes(combiner):
+    assert equivalent_snr(np.empty(0), np.empty(0), combiner).shape == (0,)
+    assert equivalent_snr(np.empty(0), 3.0, combiner).shape == (0,)
+    assert equivalent_snr(np.ones((2, 1)), np.ones(3), combiner).shape == (2, 3)
+    assert isinstance(equivalent_snr(np.float64(2.0), 3.0, combiner), float)
+
+
+def test_combiner_equals_its_plain_expression_bit_for_bit():
+    """The in-place combiner against the expression it replaces."""
+    rng = np.random.default_rng(8)
+    g1 = rng.gamma(1.5, 4.0, 5000)
+    g2 = rng.gamma(2.0, 3.0, 5000)
+    g1[::7] = 0.0
+    g2[::5] = 0.0               # every 35th pair is 0/0 under HARMONIC
+    den = g1 + g2
+    harmonic = np.divide(g1 * g2, den, out=np.zeros_like(den), where=den > 0)
+    assert np.array_equal(equivalent_snr(g1, g2), g1 * g2 / (g1 + g2 + 1.0))
+    assert np.array_equal(equivalent_snr(g1, g2, Combiner.HARMONIC), harmonic)
+    assert np.array_equal(equivalent_snr(g1, 7.5), g1 * 7.5 / (g1 + 7.5 + 1.0))
+
+
 def test_dual_rayleigh_closed_form_spot_values():
     for g, want in DUAL_RAYLEIGH_POINTS:
         got = end_to_end_cdf(RAYLEIGH_10, RAYLEIGH_10, g)

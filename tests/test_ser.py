@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
 from twohop.fading import GammaSnr, LawTable
@@ -72,6 +73,30 @@ def test_conditional_sep():
     assert np.all(np.diff(values) < 0)
     with pytest.raises(ValueError):
         conditional_sep(BPSK, -0.1)
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.array([1.0, np.nan]), -np.inf],
+                         ids=["nan", "nan-array", "-inf"])
+def test_conditional_sep_rejects_nan(snr):
+    with pytest.raises(ValueError, match="nonnegative"):
+        conditional_sep(BPSK, snr)
+
+
+def test_conditional_sep_keeps_empty_arrays_and_infinity():
+    assert conditional_sep(PSK8, np.empty(0)).shape == (0,)
+    assert conditional_sep(BPSK, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("mod", [BPSK, PSK8, PSK16], ids=["BPSK", "PSK8", "PSK16"])
+def test_conditional_sep_equals_its_plain_expression_bit_for_bit(mod):
+    """The in-place SEP and Q against the expressions they replace."""
+    snr = np.random.default_rng(4).gamma(1.0, 6.0, 5000)
+    snr[::9] = 0.0
+    plain_q = 0.5 * special.erfc(np.sqrt(2.0 * mod.b * snr) / math.sqrt(2.0))
+    assert np.array_equal(gaussian_q(np.sqrt(2.0 * mod.b * snr)), plain_q)
+    assert np.array_equal(conditional_sep(mod, snr), mod.a * plain_q)
+    assert isinstance(conditional_sep(mod, np.float64(3.0)), float)
+    assert conditional_sep(mod, 3.0) == conditional_sep(mod, np.array([3.0]))[0]
 
 
 def test_certain_error_gives_half_a():
