@@ -18,15 +18,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import __version__
 from .diversity import effective_distribution
 from .fading import LawTable
-from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end,
-                         simulate_hop, sweep_eq_samples)
+from .montecarlo import McRun, empirical_cdf, mc_ser, simulate_hop, sweep_eq_samples
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
-from .relay import Combiner, LinkScenario, end_to_end_cdf_grid
+from .relay import Combiner, LinkScenario, end_to_end_cdf_grid, equivalent_snr
 from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
                        MAX_SWEEP_POINTS, Scenario, ScenarioError, check_range, link_at,
                        load_scenario, parse_modulations, parse_sweep, placement_hops)
@@ -37,14 +35,11 @@ DEFAULT_SWEEP_MC_SAMPLES = 100_000
 DEFAULT_CDF_MC_SAMPLES = 200_000
 VALIDATE_KS_SAMPLES = 100_000
 VALIDATE_CDF_SAMPLES = 1_000_000
-#: Chance that a validate check fails on correct code: each limit is the
-#: deviation that n samples exceed with at most this probability.
+#: Chance that a validate check fails on correct code: each limit is a finite-sample
+#: bound (DKW, empirical Bernstein) that n samples exceed with at most this probability.
 ALPHA = 1e-6
 #: Hop tail mass above the top of the default cdf/validate grid.
 GRID_TAIL_MASS = 1e-3
-#: Below this analytic SER the MC mean is skewed and its normal halfwidth
-#: under-covers, so validate skips the SER check there.
-SER_CHECK_FLOOR = 1e-4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,17 +175,13 @@ def _meta(command: str, scenario: Scenario | None, tol: float,
     return lines
 
 
-def _write(lines: list[str], out: str | None) -> None:
+def _finish(lines: list[str], out: str | None, failed: list[str]) -> int:
+    """Write the table to ``out`` or stdout; exit 3 naming each ``failed`` point, if any."""
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _finish(lines: list[str], out: str | None, failed: list[str]) -> int:
-    """Write the table; exit 3 naming each ``failed`` point, if there are any."""
-    _write(lines, out)
     if failed:
         print(f"twohop: quadrature did not converge at: {'; '.join(failed)}",
               file=sys.stderr)
@@ -278,23 +269,27 @@ def _parse_grid(spec: str | None) -> np.ndarray | None:
     return points
 
 
-def _cdf_table(args, scenario: Scenario, tol: float, seed: int, samples: int, grid):
+def _cdf_table(args, scenario: Scenario, tol: float, seed: int, samples: int, grid, n_hop=0):
     """The end-to-end CDF table of the operating point, for cdf and validate.
 
-    Returns the link, its two hop laws, ``samples`` MC draws of its eq,
-    the grid, and the analytic and empirical CDF columns on it.  Without a ``grid``, 50 points span [0, top], top being the smaller of
-    the two hops' points above which at most ``GRID_TAIL_MASS`` of the
-    hop's mass lies.  eq <= min(g1, g2), so top bounds eq's quantile at
-    1 - ``GRID_TAIL_MASS`` from above, and the grid follows from the laws
-    alone.
+    Returns the link, its hop laws, the first ``n_hop`` of ``samples`` MC draws of
+    each hop (streams 1 and 2, as in ``simulate_end_to_end``), the ``samples`` draws
+    of their eq, the grid, and the analytic and empirical CDF columns on it.  Without
+    a ``grid``, 50 points span [0, top], top being the smaller of the two hops' points
+    above which at most ``GRID_TAIL_MASS`` of the hop's mass lies.  eq <= min(g1, g2),
+    so top bounds eq's quantile at 1 - ``GRID_TAIL_MASS`` from above, and the grid
+    follows from the laws alone.
     """
     link = scenario.link_at(scenario.hop1_snr_db[0], scenario.hop2_snr_db)
     laws = effective_distribution(link.hop1), effective_distribution(link.hop2)
-    eq = simulate_end_to_end(link, McRun(seed, samples, args.threads))
+    run = McRun(seed, samples, args.threads)
+    hops = simulate_hop(link.hop1, run, stream=1), simulate_hop(link.hop2, run, stream=2)
+    eq = equivalent_snr(*hops, link.combiner)
+    hops = [g[:n_hop].copy() for g in hops]  # the rest is freed before eq is sorted
     if grid is None:
         grid = np.linspace(0.0, float(np.min(LawTable(laws).saturation(GRID_TAIL_MASS))), 50)
     analytical = end_to_end_cdf_grid(*laws, grid, link.combiner, tol)
-    return link, laws, eq, grid, analytical, empirical_cdf(eq, grid)
+    return link, laws, hops, eq, grid, analytical, empirical_cdf(eq, grid)
 
 
 def cmd_cdf(args) -> int:
@@ -302,8 +297,8 @@ def cmd_cdf(args) -> int:
     tol = _outer_tol(args, DEFAULT_CDF_TOL)
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_CDF_MC_SAMPLES)
-    _, _, _, grid, analytical, empirical = _cdf_table(args, scenario, tol, seed, samples,
-                                                      _parse_grid(args.grid))
+    _, _, _, _, grid, analytical, empirical = _cdf_table(args, scenario, tol, seed, samples,
+                                                         _parse_grid(args.grid))
 
     lines = _meta("cdf", scenario, tol, seed, samples)
     lines.append(f"# hop1_snr_db: {scenario.hop1_snr_db[0]:g}  "
@@ -321,9 +316,8 @@ def cmd_cdf(args) -> int:
 # validate
 
 def _ks_distance(samples: np.ndarray, cdf) -> float:
-    ordered = np.sort(samples)
-    values = np.asarray(cdf(ordered))
-    n = ordered.size
+    values = np.asarray(cdf(np.sort(samples)))
+    n = values.size
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - values), np.max(values - steps + 1.0 / n)))
 
@@ -334,53 +328,53 @@ def _dkw(n: int) -> float:
     return math.sqrt(math.log(2.0 / ALPHA) / (2.0 * n))
 
 
+def _ser_bound(mod, halfwidth: float, n: int) -> float:
+    """The deviation that a mean of n conditional SEPs, each in [0, a/2], exceeds with
+    probability at most ``ALPHA``: the two-sided empirical-Bernstein bound (Maurer & Pontil
+    2009, Thm 4), with the sample variance V from the 95% halfwidth 1.96 sqrt(V/n)."""
+    log_term = math.log(4.0 / ALPHA)
+    return math.inf if n < 2 else (math.sqrt(2.0 * log_term) * halfwidth / 1.96
+                                   + 7.0 * (mod.a / 2.0) * log_term / (3.0 * (n - 1)))
+
+
 def cmd_validate(args) -> int:
     scenario = _load(args)
     tol = _outer_tol(args, DEFAULT_CDF_TOL)
     # validate sizes its runs by its own defaults, not by the scenario's mc_samples
     seed, n_big = _mc_settings(args, scenario.mc_seed, VALIDATE_CDF_SAMPLES)
     n_ks = args.samples if args.samples is not None else VALIDATE_KS_SAMPLES
-    link, laws, eq, _, analytical, empirical = _cdf_table(args, scenario, tol, seed, n_big,
-                                                          None)
+    link, laws, hops, eq, _, analytical, empirical = _cdf_table(args, scenario, tol, seed,
+                                                                n_big, None, n_ks)
 
-    distances = []  # (label, observed sup-distance, sample count) of each check on a law
-    for stream, hop, law in zip((1, 2), (link.hop1, link.hop2), laws):
-        # Streams 1 and 2 are the link simulation's: these are the first n_ks
-        # hop draws behind eq, a known reuse that leaves each check's limit valid.
-        draws = simulate_hop(hop, McRun(seed, n_ks, args.threads), stream=stream)
-        distances.append((f"hop{stream} law KS distance (n={n_ks})",
-                          _ks_distance(draws, law.cdf), n_ks))
-    distances.append((f"end-to-end CDF max deviation (n={n_big})",
-                      float(np.max(np.abs(analytical - empirical))), n_big))
-    rows = [(label, f"{d:.6f}", f"{_dkw(n):.6f}", d <= _dkw(n)) for label, d, n in distances]
-
+    # (label, observed, limit) of each check.  The KS checks read the first n_ks
+    # draws behind eq, a known reuse that leaves each check's limit valid.
+    checks = [(f"hop{i} law KS distance (n={n_ks})", _ks_distance(draws, law.cdf),
+               _dkw(n_ks)) for i, (draws, law) in enumerate(zip(hops, laws), start=1)]
+    checks.append((f"end-to-end CDF max deviation (n={n_big})",
+                   float(np.max(np.abs(analytical - empirical))), _dkw(n_big)))
     ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
     ser = ser_sweep([link], scenario.modulations, ser_tol)
     for mod, analytical_ser in zip(scenario.modulations, ser[:, 0].tolist()):
         estimate, halfwidth = mc_ser(mod, eq)
-        label = (f"SER rel. err. {mod.label} @ hop1 {scenario.hop1_snr_db[0]:g} dB, "
-                 f"hop2 {scenario.hop2_snr_db:g} dB")
-        if analytical_ser < SER_CHECK_FLOOR:
-            rows.append((label, f"(SER {analytical_ser:.3g} < {SER_CHECK_FLOOR:g})",
-                         "skipped", True))
-            continue
-        rel = abs(analytical_ser - estimate) / analytical_ser
-        # the 95% MC halfwidth, widened to two-sided level ALPHA
-        limit = -special.ndtri(0.5 * ALPHA) / 1.96 * halfwidth / analytical_ser
-        rows.append((label, f"{rel:.6f}", f"{limit:.6f}", rel <= limit))
+        # A converged SER of 0.0 (below the smallest double) is checked in absolute terms.
+        scale = analytical_ser or 1.0
+        checks.append((f"SER {'abs.' if analytical_ser == 0 else 'rel.'} err. {mod.label} "
+                       f"@ hop1 {scenario.hop1_snr_db[0]:g} dB, hop2 {scenario.hop2_snr_db:g} dB",
+                       abs(analytical_ser - estimate) / scale,
+                       (_ser_bound(mod, halfwidth, n_big) + ser_tol * analytical_ser) / scale))
 
     lines = [f"twohop validate: scenario {scenario.name} "
              f"(case {scenario.case}, combiner {scenario.combiner.value}, seed {seed})"]
-    width = max(len(r[0]) for r in rows)
-    for label, observed, threshold, ok in rows:
-        lines.append(f"{label:<{width}}  observed {observed:>14}  "
-                     f"threshold {threshold:>10}  {'pass' if ok else 'FAIL'}")
-    n_failed = sum(1 for r in rows if not r[3])
-    lines.append(f"{len(rows) - n_failed} of {len(rows)} checks passed"
-                 if n_failed else f"all {len(rows)} checks passed")
+    width = max(len(label) for label, _, _ in checks)
+    passed = [observed <= limit for _, observed, limit in checks]
+    for (label, observed, limit), ok in zip(checks, passed):
+        lines.append(f"{label:<{width}}  observed {observed:>14.6f}  "
+                     f"threshold {limit:>10.6f}  {'pass' if ok else 'FAIL'}")
+    lines.append(f"all {len(checks)} checks passed" if all(passed)
+                 else f"{sum(passed)} of {len(checks)} checks passed")
     # A check on a value that did not converge observes NaN, and fails.
-    return _finish(lines, args.out, [r[0] for r in rows if r[1] == "nan"]) or (
-        1 if n_failed else 0)
+    unconverged = [label for label, observed, _ in checks if math.isnan(observed)]
+    return _finish(lines, args.out, unconverged) or (0 if all(passed) else 1)
 
 
 # ---------------------------------------------------------------------------

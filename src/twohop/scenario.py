@@ -240,7 +240,11 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), fallback_name=path.stem)
+    try:  # utf-8-sig: a leading byte-order mark is not part of the first key
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    return parse_scenario(text, fallback_name=path.stem)
 
 
 def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from twohop import cli, montecarlo
 from twohop.cli import _fmt_prob, main
+from twohop.numerics import DEFAULT_SER_TOL
 from twohop.relay import Combiner
 from twohop.scenario import (_COMMON_KEYS, _CUSTOM_KEYS, _NAMED_KEYS, MAX_ABS_DB, MAX_ANTENNAS,
                              MAX_FADING_FIGURE, MAX_MC_SAMPLES, load_scenario)
+from twohop.ser import PskModulation, ser_sweep
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +250,66 @@ def test_validate_limits_follow_from_the_sample_count():
     # DKW with Massart's constant at ALPHA = 1e-6
     assert f"{cli._dkw(100_000):.6f}" == "0.008517"
     assert f"{cli._dkw(1_000_000):.6f}" == "0.002693"
+    # empirical Bernstein on SEPs in [0, 1/2]: sqrt(2 ln 4e6) * 1e-3 + 3.5 ln 4e6 / (3 * 999999)
+    assert f"{cli._ser_bound(PskModulation(2), 1.96e-3, 1_000_000):.8f}" == "0.00553168"
+    assert cli._ser_bound(PskModulation(8), 0.0, 1) == math.inf
+
+
+def test_validate_ser_limit_covers_at_its_level(monkeypatch, scenario_dir):
+    """At ALPHA = 1e-2, 300 seeded 100-sample runs exceed the SER limit at most 3 times.
+
+    Each run is the draw validate makes for the link (the same streams).  A
+    limit of Phi^-1(1 - ALPHA/2) normal halfwidths is exceeded 7 times here.
+    """
+    monkeypatch.setattr(cli, "ALPHA", 1e-2)
+    scenario = load_scenario(scenario_dir / "custom_tas.scenario")
+    link, mod = scenario.link_at(3.0, 10.0), PskModulation(2)
+    ser = float(ser_sweep([link], [mod], DEFAULT_SER_TOL)[0, 0])
+    exceeded = 0
+    for seed in range(300):
+        estimate, halfwidth = montecarlo.mc_ser(
+            mod, montecarlo.simulate_end_to_end(link, montecarlo.McRun(seed, 100)))
+        exceeded += abs(estimate - ser) > (cli._ser_bound(mod, halfwidth, 100)
+                                           + DEFAULT_SER_TOL * ser)
+    assert exceeded <= 3
+
+
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_validate_passes_at_the_smallest_sample_counts(samples, scenario_dir, tmp_path):
+    """One sample bounds no SER (an infinite limit); two give a finite, wide one."""
+    out = tmp_path / "report.txt"
+    code, err = run_main(["validate", "--scenario", str(scenario_dir / "custom_tas.scenario"),
+                          "--samples", samples, "--out", str(out)])
+    assert code == 0 and err == ""
+    ser_rows = [line for line in out.read_text(encoding="utf-8").splitlines()
+                if line.startswith("SER ")]
+    assert len(ser_rows) == 2
+    assert all(line.endswith("pass") for line in ser_rows)
+    assert all(("threshold        inf" in line) == (samples == "1") for line in ser_rows)
+
+
+def test_validate_checks_the_ser_in_the_deep_tail(tmp_path):
+    """STBC_MRC 2x2, m = 1, 20/20 dB: a BPSK SER of 4.8e-8 is checked like any other."""
+    path = _mini_scenario(tmp_path / "tail.scenario", {
+        "hop1_snr_db": "20", "hop2_snr_db": "20", "modulations": "BPSK, PSK8, PSK16"})
+    out = tmp_path / "report.txt"
+    code, err = run_main(["validate", "--scenario", path, "--out", str(out)])
+    assert code == 0 and err == ""
+    text = out.read_text(encoding="utf-8")
+    assert "all 6 checks passed" in text
+    ser_rows = [line for line in text.splitlines() if line.startswith("SER rel. err.")]
+    assert len(ser_rows) == 3
+    for line in ser_rows:
+        threshold = float(line.split("threshold")[1].split()[0])
+        assert 0.0 < threshold < math.inf
+
+
+def test_a_scenario_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"name = caf\xe9\ncase = MIMO_MIMO\n")
+    code, err = run_main(["validate", "--scenario", str(path)])
+    assert code == 2
+    assert err.startswith(f"twohop: invalid configuration: {path}: ")
 
 
 def test_validate_unreachable_tolerance_exits_three(mini_path, tmp_path):
@@ -509,10 +571,13 @@ def test_extreme_db_means_run_cleanly(db, tmp_path):
     path.write_text("".join(f"{k} = {v}\n" for k, v in {
         **_MINI, "hop1_snr_db": db, "hop2_sweep_db": f"{db}:{db}:1"}.items()),
         encoding="utf-8")
-    for command in ("ser-sweep", "cdf"):
+    for command in ("ser-sweep", "cdf", "validate"):
         code, err = run_main([command, "--scenario", str(path), "--samples", "2000",
                               "--out", str(tmp_path / f"{command}.csv")])
         assert code == 0 and err == "", command
+    # At +1000 dB the SER is a converged 0.0, checked in absolute terms
+    report = (tmp_path / "validate.csv").read_text(encoding="utf-8")
+    assert ("SER abs. err. BPSK" in report) == (db == "1000")
 
 
 @pytest.mark.parametrize("db", ["-1000", "1000"])
@@ -525,7 +590,7 @@ def test_largest_antenna_counts_and_fading_figures_run_cleanly(corner, db, tmp_p
     """At the ends of the antenna, m and dB ranges every derived value stays finite."""
     path = _mini_scenario(tmp_path / "corner.scenario",
                           {**corner, "hop1_snr_db": db, "hop2_sweep_db": f"{db}:{db}:1"})
-    for command in ("ser-sweep", "cdf"):
+    for command in ("ser-sweep", "cdf", "validate"):
         code, err = run_main([command, "--scenario", path, "--samples", "2000",
                               "--out", str(tmp_path / f"{command}.csv")])
         assert code == 0 and err == "", command

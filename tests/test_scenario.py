@@ -265,6 +265,12 @@ def test_load_scenario_uses_file_stem(tmp_path):
     assert load_scenario(path).name == "bench_a"
 
 
+def test_load_scenario_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.scenario"
+    path.write_text(render(), encoding="utf-8-sig")
+    assert load_scenario(path).case == "MIMO_MIMO"
+
+
 def test_shipped_scenarios_all_load(scenario_dir):
     paths = sorted(scenario_dir.glob("*.scenario"))
     assert len(paths) == 7
