@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .diversity import effective_distribution
 from .fading import LawTable
-from .montecarlo import McRun, empirical_cdf, mc_ser, simulate_hop, sweep_eq_samples
+from .montecarlo import (_LINK_STREAM_HOP1, _LINK_STREAM_HOP2, McRun, empirical_cdf, mc_ser,
+                         simulate_hop, sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, LinkScenario, end_to_end_cdf_grid, equivalent_snr
 from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
@@ -121,7 +122,8 @@ def main(argv=None) -> int:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.combiner:
-        scenario = replace(scenario, combiner=Combiner(args.combiner))
+        scenario = replace(scenario,
+                           link=replace(scenario.link, combiner=Combiner(args.combiner)))
     return scenario
 
 
@@ -142,8 +144,8 @@ def _mc_settings(args, fallback_seed: int | None,
             check_range(samples, 1, MAX_MC_SAMPLES, "samples"))
 
 
-def _fmt_prob(x: float, full: bool = False) -> str:
-    """Fixed decimal notation with 6 significant digits (deterministic)."""
+def _fmt_prob(x: float, full: bool) -> str:
+    """``repr`` if ``full``, else fixed decimal notation with 6 significant digits."""
     if full:
         return repr(float(x))
     if not math.isfinite(x):
@@ -159,17 +161,16 @@ def _fmt_num(x: float) -> str:
 
 
 def _fmt_m(scenario: Scenario) -> str:
-    m1, m2 = scenario.hop1_template.m, scenario.hop2_template.m
+    m1, m2 = scenario.link.hop1.m, scenario.link.hop2.m
     return f"{m1:g}" if m1 == m2 else f"{m1:g}/{m2:g}"
 
 
-def _meta(command: str, scenario: Scenario | None, tol: float,
+def _meta(command: str, scenario: Scenario, tol: float,
           seed: int | None, samples: int | None) -> list[str]:
-    lines = [f"# twohop {__version__} {command}"]
-    if scenario is not None:
-        lines.append(f"# scenario: {scenario.name}  case: {scenario.case}  "
-                     f"combiner: {scenario.combiner.value}")
-    lines.append(f"# tol: {tol:g}")
+    lines = [f"# twohop {__version__} {command}",
+             f"# scenario: {scenario.name}  case: {scenario.case}  "
+             f"combiner: {scenario.link.combiner.value}",
+             f"# tol: {tol:g}"]
     if seed is not None:
         lines.append(f"# mc_seed: {seed}  mc_samples: {samples}")
     return lines
@@ -205,7 +206,7 @@ def cmd_ser_sweep(args) -> int:
     # ser[i, p] and the (estimate, halfwidth) mc[p][i].
     points = [(hop1_db, db) for hop1_db in scenario.hop1_snr_db
               for db in scenario.sweep.values().tolist()]
-    links = [scenario.link_at(*point) for point in points]
+    links = [link_at(scenario.link, *point) for point in points]
     run = McRun(seed, samples, args.threads)
     mc = list(sweep_eq_samples(links, mods, run)) if use_mc else []
     ser = ser_sweep(links, mods, tol)
@@ -273,17 +274,18 @@ def _cdf_table(args, scenario: Scenario, tol: float, seed: int, samples: int, gr
     """The end-to-end CDF table of the operating point, for cdf and validate.
 
     Returns the link, its hop laws, the first ``n_hop`` of ``samples`` MC draws of
-    each hop (streams 1 and 2, as in ``simulate_end_to_end``), the ``samples`` draws
+    each hop (the streams of ``simulate_end_to_end``), the ``samples`` draws
     of their eq, the grid, and the analytic and empirical CDF columns on it.  Without
     a ``grid``, 50 points span [0, top], top being the smaller of the two hops' points
     above which at most ``GRID_TAIL_MASS`` of the hop's mass lies.  eq <= min(g1, g2),
     so top bounds eq's quantile at 1 - ``GRID_TAIL_MASS`` from above, and the grid
     follows from the laws alone.
     """
-    link = scenario.link_at(scenario.hop1_snr_db[0], scenario.hop2_snr_db)
+    link = link_at(scenario.link, scenario.hop1_snr_db[0], scenario.hop2_snr_db)
     laws = effective_distribution(link.hop1), effective_distribution(link.hop2)
     run = McRun(seed, samples, args.threads)
-    hops = simulate_hop(link.hop1, run, stream=1), simulate_hop(link.hop2, run, stream=2)
+    hops = (simulate_hop(link.hop1, run, stream=_LINK_STREAM_HOP1),
+            simulate_hop(link.hop2, run, stream=_LINK_STREAM_HOP2))
     eq = equivalent_snr(*hops, link.combiner)
     hops = [g[:n_hop].copy() for g in hops]  # the rest is freed before eq is sorted
     if grid is None:
@@ -352,7 +354,7 @@ def cmd_validate(args) -> int:
                _dkw(n_ks)) for i, (draws, law) in enumerate(zip(hops, laws), start=1)]
     checks.append((f"end-to-end CDF max deviation (n={n_big})",
                    float(np.max(np.abs(analytical - empirical))), _dkw(n_big)))
-    ser_tol = DEFAULT_SER_TOL if args.tol is None else args.tol
+    ser_tol = _outer_tol(args, DEFAULT_SER_TOL)
     ser = ser_sweep([link], scenario.modulations, ser_tol)
     for mod, analytical_ser in zip(scenario.modulations, ser[:, 0].tolist()):
         estimate, halfwidth = mc_ser(mod, eq)
@@ -364,12 +366,16 @@ def cmd_validate(args) -> int:
                        (_ser_bound(mod, halfwidth, n_big) + ser_tol * analytical_ser) / scale))
 
     lines = [f"twohop validate: scenario {scenario.name} "
-             f"(case {scenario.case}, combiner {scenario.combiner.value}, seed {seed})"]
+             f"(case {scenario.case}, combiner {scenario.link.combiner.value}, seed {seed})"]
     width = max(len(label) for label, _, _ in checks)
-    passed = [observed <= limit for _, observed, limit in checks]
-    for (label, observed, limit), ok in zip(checks, passed):
-        lines.append(f"{label:<{width}}  observed {observed:>14.6f}  "
-                     f"threshold {limit:>10.6f}  {'pass' if ok else 'FAIL'}")
+    observed = [f"{value:.6f}" for _, value, _ in checks]
+    limits = [f"{limit:.6f}" for _, _, limit in checks]
+    # Each value column is as wide as its widest entry, and at least 14 and 10 wide.
+    observed_width, limit_width = max(14, *map(len, observed)), max(10, *map(len, limits))
+    passed = [value <= limit for _, value, limit in checks]
+    for (label, _, _), value, limit, ok in zip(checks, observed, limits, passed):
+        lines.append(f"{label:<{width}}  observed {value:>{observed_width}}  "
+                     f"threshold {limit:>{limit_width}}  {'pass' if ok else 'FAIL'}")
     lines.append(f"all {len(checks)} checks passed" if all(passed)
                  else f"{sum(passed)} of {len(checks)} checks passed")
     # A check on a value that did not converge observes NaN, and fails.

@@ -184,7 +184,9 @@ class LinkTable:
             gap = np.exp(s)  # y - gamma, without the rounding of a subtraction
             y = g + gap
             link = law[owner]
-            return hop1.cdf(g * (y + shift) / gap, link) * hop2.pdf(y, link) * gap
+            # g * ((y + shift) / gap) is at least g: it neither underflows to 0 nor
+            # becomes 0/0 where gap underflows at the bottom of a tiny gamma's range.
+            return hop1.cdf(g * ((y + shift) / gap), link) * hop2.pdf(y, link) * gap
 
         # On (gamma, y*] the threshold is at least T1*, so F1 is 1 there: the
         # quadrature starts at s = ln(y* - gamma), and F2 is read where it starts.

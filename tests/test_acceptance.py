@@ -25,7 +25,7 @@ from twohop.fading import GammaSnr
 from twohop.montecarlo import McRun, empirical_cdf, simulate_end_to_end, sweep_eq_samples
 from twohop.numerics import gaussian_q, regularized_lower_gamma
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf, end_to_end_cdf_grid
-from twohop.scenario import load_scenario
+from twohop.scenario import link_at, load_scenario
 from twohop.ser import PskModulation, ser_direct, ser_from_cdf, ser_sweep
 
 HOP1_DB = 3.0
@@ -56,7 +56,7 @@ def reference(scenario_dir):
     grid = scenario.sweep.values()
     mods = scenario.modulations
     curves = dict(zip((mod.label for mod in mods),
-                      ser_sweep(links_at(scenario.link(), HOP1_DB, grid), mods, tol=1e-7)))
+                      ser_sweep(links_at(scenario.link, HOP1_DB, grid), mods, tol=1e-7)))
     return SimpleNamespace(scenario=scenario, grid=grid, curves=curves,
                            build_seconds=time.perf_counter() - started)
 
@@ -94,7 +94,7 @@ def _random_link(rng) -> LinkScenario:
 def test_criterion_1_cdf_oracle(reference):
     started = time.perf_counter()
     rng = np.random.default_rng(20260815)
-    links = [reference.scenario.link_at(HOP1_DB, 10.0)]
+    links = [link_at(reference.scenario.link, HOP1_DB, 10.0)]
     links += [_random_link(rng) for _ in range(4)]
 
     failures = []
@@ -134,7 +134,7 @@ def test_criterion_2_ser_form_identity():
 def test_criterion_3_ser_vs_mc(reference):
     started = time.perf_counter()
     grid = reference.grid.tolist()
-    links = [reference.scenario.link_at(HOP1_DB, db) for db in grid]
+    links = [link_at(reference.scenario.link, HOP1_DB, db) for db in grid]
     run = McRun(5150, 1_000_000, 4)
     failures = []
     mods = reference.scenario.modulations
@@ -208,7 +208,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
     per_n = {3: values}
     for n, stem in ((2, "mimo_n2"), (4, "mimo_n4")):
         other = load_scenario(scenario_dir / f"{stem}.scenario")
-        rows = ser_sweep(links_at(other.link(), HOP1_DB, reference.grid), other.modulations,
+        rows = ser_sweep(links_at(other.link, HOP1_DB, reference.grid), other.modulations,
                          tol=1e-7)
         per_n[n] = {mod.label: _curve_values(row)
                     for mod, row in zip(other.modulations, rows)}
@@ -219,7 +219,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
 
     # (d) balanced arrays beat both lopsided placements (equal antenna budget)
     bpsk = PskModulation(2)
-    miso_simo = load_scenario(scenario_dir / "miso_simo_n3.scenario").link()
+    miso_simo = load_scenario(scenario_dir / "miso_simo_n3.scenario").link
     simo_miso = LinkScenario(
         HopConfig(1, 3, 1.0, 1.0, CombiningScheme.MRC),
         HopConfig(3, 1, 1.0, 1.0, CombiningScheme.STBC))
@@ -230,7 +230,7 @@ def test_criterion_6_figure_shape(reference, scenario_dir):
             failures.append(f"(d) MIMO_MIMO does not dominate {tag}")
 
     # (e) by 30 dB the second hop is transparent: within 10% of hop-1-only SER
-    link30 = scenario.link_at(HOP1_DB, 30.0)
+    link30 = link_at(scenario.link, HOP1_DB, 30.0)
     d1 = effective_distribution(link30.hop1)
     d2 = effective_distribution(link30.hop2)
     combined_all = ser_from_cdf(

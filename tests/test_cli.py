@@ -23,7 +23,7 @@ from twohop.cli import _fmt_prob, main
 from twohop.numerics import DEFAULT_SER_TOL
 from twohop.relay import Combiner
 from twohop.scenario import (_COMMON_KEYS, _CUSTOM_KEYS, _NAMED_KEYS, MAX_ABS_DB, MAX_ANTENNAS,
-                             MAX_FADING_FIGURE, MAX_MC_SAMPLES, load_scenario)
+                             MAX_FADING_FIGURE, MAX_MC_SAMPLES, link_at, load_scenario)
 from twohop.ser import PskModulation, ser_sweep
 
 
@@ -63,13 +63,13 @@ def read_rows(path):
 
 
 def test_probability_formatting():
-    assert _fmt_prob(0.0012345678) == "0.00123457"
-    assert _fmt_prob(0.5) == "0.500000"
-    assert _fmt_prob(1.0) == "1.00000"
-    assert _fmt_prob(123.456) == "123.456"
-    assert _fmt_prob(0.0) == "0.000000"
-    assert _fmt_prob(float("nan")) == "nan"
-    assert _fmt_prob(1e-12) == "0.00000000000100000"
+    assert _fmt_prob(0.0012345678, False) == "0.00123457"
+    assert _fmt_prob(0.5, False) == "0.500000"
+    assert _fmt_prob(1.0, False) == "1.00000"
+    assert _fmt_prob(123.456, False) == "123.456"
+    assert _fmt_prob(0.0, False) == "0.000000"
+    assert _fmt_prob(float("nan"), False) == "nan"
+    assert _fmt_prob(1e-12, False) == "0.00000000000100000"
     assert float(_fmt_prob(0.123456789, full=True)) == 0.123456789
 
 
@@ -200,6 +200,18 @@ def test_cdf_rejects_a_grid_list_over_the_point_cap(mini_path):
     assert "10000" in err and "(field: grid)" in err
 
 
+def test_cdf_below_the_smallest_normal_double_converges(scenario_dir, tmp_path):
+    """custom_tas is harmonic: at gamma = 1e-307 the inner threshold's gap underflows."""
+    out = tmp_path / "cdf.csv"
+    code, err = run_main(["cdf", "--scenario", str(scenario_dir / "custom_tas.scenario"),
+                          "--grid", "1e-310,1e-307,1", "--samples", "1000",
+                          "--full-precision", "--out", str(out)])
+    assert code == 0 and err == ""
+    _, _, rows = read_rows(out)
+    analytical = [float(row.split(",")[1]) for row in rows]
+    assert all(0.0 <= value < 1.0 for value in analytical)  # no NaN cell
+
+
 def test_cdf_swapping_hops_leaves_the_law_alone(tmp_path):
     """Mirror-image scenarios (hop means exchanged) share one equivalent law."""
     base = ("case = MIMO_MIMO\nn_s = 2\nn_r = 2\nn_d = 2\n"
@@ -263,7 +275,7 @@ def test_validate_ser_limit_covers_at_its_level(monkeypatch, scenario_dir):
     """
     monkeypatch.setattr(cli, "ALPHA", 1e-2)
     scenario = load_scenario(scenario_dir / "custom_tas.scenario")
-    link, mod = scenario.link_at(3.0, 10.0), PskModulation(2)
+    link, mod = link_at(scenario.link, 3.0, 10.0), PskModulation(2)
     ser = float(ser_sweep([link], [mod], DEFAULT_SER_TOL)[0, 0])
     exceeded = 0
     for seed in range(300):
@@ -286,6 +298,19 @@ def test_validate_passes_at_the_smallest_sample_counts(samples, scenario_dir, tm
     assert len(ser_rows) == 2
     assert all(line.endswith("pass") for line in ser_rows)
     assert all(("threshold        inf" in line) == (samples == "1") for line in ser_rows)
+
+
+def test_validate_columns_stay_aligned_past_a_limit_of_1000(scenario_dir, tmp_path):
+    """At two samples a BPSK limit above 1,000 widens the threshold column, not its row."""
+    out = tmp_path / "report.txt"
+    code, _ = run_main(["validate", "--scenario", str(scenario_dir / "custom_tas.scenario"),
+                        "--samples", "2", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:-1]
+    assert len(rows) == 5
+    assert max(float(row.split("threshold")[1].split()[0]) for row in rows) >= 1000.0
+    # threshold, and the pass/FAIL word after the last space, in one column each
+    assert len({(row.index(" threshold "), row.rindex(" ")) for row in rows}) == 1
 
 
 def test_validate_checks_the_ser_in_the_deep_tail(tmp_path):
@@ -632,9 +657,9 @@ def test_compare_cases_links_match_the_scenario_files(scenario_dir):
     """compare-cases and the scenario parser build each placement the same way."""
     links = dict(cli._case_links(3, 1.0, Combiner.EXACT))
     for case, stem in (("MIMO_MIMO", "mimo_n3"), ("MISO_SIMO", "miso_simo_n3")):
-        assert links[case] == load_scenario(scenario_dir / f"{stem}.scenario").link()
+        assert links[case] == load_scenario(scenario_dir / f"{stem}.scenario").link
     simo = dict(cli._case_links(2, 1.0, Combiner.EXACT))["SIMO_MISO"]
-    assert simo == load_scenario(scenario_dir / "simo_miso_nr2.scenario").link()
+    assert simo == load_scenario(scenario_dir / "simo_miso_nr2.scenario").link
 
 
 def test_common_flag_and_file_errors(mini_path, tmp_path, no_draws):
@@ -777,6 +802,20 @@ def test_executable_module_interface(mini_path):
     assert table.returncode == 0
     assert table.stdout.startswith("# twohop ")
     assert "gamma,cdf_analytical,cdf_mc" in table.stdout
+
+
+def test_the_combiner_flag_matches_the_scenario_key(scenario_dir, tmp_path):
+    """--combiner harmonic prints what the same scenario with combiner = harmonic prints."""
+    keyed = tmp_path / "mimo_n3.scenario"
+    keyed.write_text((scenario_dir / "mimo_n3.scenario").read_text(encoding="utf-8")
+                     + "combiner = harmonic\n", encoding="utf-8")
+    outs = tmp_path / "flag.csv", tmp_path / "key.csv"
+    for argv, out in ((["--scenario", str(scenario_dir / "mimo_n3.scenario"),
+                        "--combiner", "harmonic"], outs[0]),
+                      (["--scenario", str(keyed)], outs[1])):
+        assert run_main(["ser-sweep", *argv, "--out", str(out)]) == (0, "")
+    assert "combiner: harmonic" in outs[0].read_text(encoding="utf-8")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_threads_never_change_golden_bytes(tmp_path):

@@ -189,6 +189,25 @@ def test_exact_cdf_sits_above_harmonic_cdf():
         assert exact >= harmonic - 1e-10
 
 
+@pytest.mark.parametrize("combiner", list(Combiner))
+@pytest.mark.parametrize("gamma", [1e-200, 1e-307, 1e-310])
+def test_cdf_at_a_tiny_snr_is_bracketed_by_the_hop_minimum(combiner, gamma):
+    # eq <= min(g1, g2) gives P(min <= gamma) <= F_eq(gamma); under HARMONIC
+    # also min(g1, g2) <= 2 eq, so F_eq(gamma) <= P(min <= 2 gamma).  Here the
+    # inner threshold's gamma * y underflows, and below about 1.2e-306 so does
+    # the gap y - gamma at the bottom of the range.
+    d = GammaSnr(shape=0.5, mean=1.0)
+    tol = 1e-8
+
+    def p_min(g):
+        return d.cdf(g) * (2.0 - d.cdf(g))
+
+    value = end_to_end_cdf(d, d, gamma, combiner, tol)
+    assert value >= p_min(gamma) * (1.0 - tol)
+    if combiner is Combiner.HARMONIC:
+        assert value <= p_min(2.0 * gamma) * (1.0 + tol)
+
+
 def test_far_hop_two_mean_reduces_to_hop_one():
     # with the relay-to-destination hop nearly transparent the end-to-end
     # law collapses onto hop 1; the log map's range reaches past the hop-2
@@ -371,7 +390,7 @@ def test_table_integrand_matches_the_public_law_methods_bit_for_bit(monkeypatch,
     want = np.empty_like(y)
     for k, d2 in enumerate(TABLE_LAWS):
         mine = owner == k
-        want[mine] = (d1s[k].cdf(g[mine] * (y[mine] + shift) / gap[mine])
+        want[mine] = (d1s[k].cdf(g[mine] * ((y[mine] + shift) / gap[mine]))
                       * d2.pdf(y[mine]) * gap[mine])
     assert np.all(np.isfinite(got)) and np.any(got > 0)
     assert got.tolist() == want.tolist()

@@ -19,6 +19,7 @@ from twohop.scenario import (
     SweepSpec,
     db_to_linear,
     linear_to_db,
+    link_at,
     load_scenario,
     parse_scenario,
     parse_sweep,
@@ -62,14 +63,14 @@ def test_golden_scenario_parses_completely():
     assert sc.name == "golden"
     assert sc.case == "MIMO_MIMO"
     assert (sc.n_s, sc.n_r, sc.n_d) == (2, 3, 4)
-    assert sc.hop1_template.scheme is CombiningScheme.STBC_MRC
-    assert sc.hop2_template.scheme is CombiningScheme.STBC_MRC
-    assert (sc.hop1_template.n_tx, sc.hop1_template.n_rx) == (2, 3)
-    assert (sc.hop2_template.n_tx, sc.hop2_template.n_rx) == (3, 4)
-    assert sc.hop1_template.m == sc.hop2_template.m == 1.5
+    assert sc.link.hop1.scheme is CombiningScheme.STBC_MRC
+    assert sc.link.hop2.scheme is CombiningScheme.STBC_MRC
+    assert (sc.link.hop1.n_tx, sc.link.hop1.n_rx) == (2, 3)
+    assert (sc.link.hop2.n_tx, sc.link.hop2.n_rx) == (3, 4)
+    assert sc.link.hop1.m == sc.link.hop2.m == 1.5
     assert sc.hop1_snr_db == (2.0, 3.0)
     assert np.allclose(sc.sweep.values(), [0.0, 5.0, 10.0, 15.0, 20.0])
-    assert sc.combiner is Combiner.EXACT          # default
+    assert sc.link.combiner is Combiner.EXACT     # default
     assert sc.hop2_snr_db == 10.0                 # sweep midpoint default
     assert [mod.label for mod in sc.modulations] == ["BPSK", "PSK16"]
     assert (sc.mc_seed, sc.mc_samples) == (7, 1000)
@@ -84,32 +85,32 @@ def test_custom_case_with_per_hop_overrides():
     )
     sc = parse_scenario(text)
     assert sc.name == "scenario"                  # fallback when no name key
-    assert sc.hop1_template.scheme is CombiningScheme.TAS_MRC
-    assert sc.hop2_template.scheme is CombiningScheme.STBC_MRC
-    assert (sc.hop1_template.m, sc.hop2_template.m) == (2.0, 0.5)
-    assert sc.combiner is Combiner.HARMONIC
+    assert sc.link.hop1.scheme is CombiningScheme.TAS_MRC
+    assert sc.link.hop2.scheme is CombiningScheme.STBC_MRC
+    assert (sc.link.hop1.m, sc.link.hop2.m) == (2.0, 0.5)
+    assert sc.link.combiner is Combiner.HARMONIC
     assert sc.hop2_snr_db == 4.0
     assert (sc.n_s, sc.n_r, sc.n_d) == (3, 2, 2)
 
 
 def test_mixed_cases_pick_their_schemes():
     miso = parse_scenario(render(case="MISO_SIMO", n_r="1"))
-    assert miso.hop1_template.scheme is CombiningScheme.STBC
-    assert miso.hop2_template.scheme is CombiningScheme.MRC
+    assert miso.link.hop1.scheme is CombiningScheme.STBC
+    assert miso.link.hop2.scheme is CombiningScheme.MRC
     simo = parse_scenario(render(case="SIMO_MISO", n_s="1", n_d="1"))
-    assert simo.hop1_template.scheme is CombiningScheme.MRC
-    assert simo.hop2_template.scheme is CombiningScheme.STBC
-    assert (simo.hop1_template.n_rx, simo.hop2_template.n_tx) == (2, 2)
+    assert simo.link.hop1.scheme is CombiningScheme.MRC
+    assert simo.link.hop2.scheme is CombiningScheme.STBC
+    assert (simo.link.hop1.n_rx, simo.link.hop2.n_tx) == (2, 2)
 
 
 def test_link_at_converts_decibels():
     sc = parse_scenario(render())
-    link = sc.link_at(3.0, 10.0)
+    link = link_at(sc.link, 3.0, 10.0)
     assert link.hop1.mean_branch_snr == pytest.approx(10.0 ** 0.3)
     assert link.hop2.mean_branch_snr == pytest.approx(10.0)
-    assert link.combiner is sc.combiner
+    assert link.combiner is sc.link.combiner
     # templates are immutable; the placeholder mean stays untouched
-    assert sc.hop1_template.mean_branch_snr == 1.0
+    assert sc.link.hop1.mean_branch_snr == 1.0
 
 
 def test_sweep_values_hit_start_and_step():
@@ -289,11 +290,11 @@ def test_shipped_scenarios_all_load(scenario_dir):
     assert [mod.label for mod in mimo.modulations] == ["BPSK", "PSK8", "PSK16"]
 
     tas = by_name["custom_tas"]
-    assert tas.combiner is Combiner.HARMONIC
-    assert tas.hop1_template.scheme is CombiningScheme.TAS_MRC
-    assert (tas.hop1_template.m, tas.hop2_template.m) == (2.0, 1.0)
+    assert tas.link.combiner is Combiner.HARMONIC
+    assert tas.link.hop1.scheme is CombiningScheme.TAS_MRC
+    assert (tas.link.hop1.m, tas.link.hop2.m) == (2.0, 1.0)
 
-    assert by_name["miso_simo_n3"].hop1_template.scheme is CombiningScheme.STBC
+    assert by_name["miso_simo_n3"].link.hop1.scheme is CombiningScheme.STBC
     assert by_name["simo_miso_nr2"].n_r == 2
     assert by_name["simo_miso_nr4"].n_r == 4
 

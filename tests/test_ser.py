@@ -387,7 +387,7 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
     monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
     monkeypatch.setattr(ser_module, "integrate_semi_infinite_batch", counting_batch)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
-    mimo_n3 = links_at(scenario.link(), scenario.hop1_snr_db[0], scenario.sweep.values())
+    mimo_n3 = links_at(scenario.link, scenario.hop1_snr_db[0], scenario.sweep.values())
     tas = links_at(_tas_harmonic_link(), 2.0, [5.0, 26.0])
     # failing, the 26 dB link has inner CDF elements that do not converge:
     # each retires its integrand in the round that meets it, so nothing
@@ -443,7 +443,7 @@ def _record_rounds(monkeypatch):
 
 def _mimo_n2_links(scenario_dir, count: int) -> list[LinkScenario]:
     scenario = load_scenario(scenario_dir / "mimo_n2.scenario")
-    return [scenario.link_at(2.0, db) for db in np.linspace(0.0, 20.0, count).tolist()]
+    return [link_at(scenario.link, 2.0, db) for db in np.linspace(0.0, 20.0, count).tolist()]
 
 
 def test_a_chunk_boundary_repeats_at_most_one_links_requests(monkeypatch, scenario_dir):
@@ -501,7 +501,7 @@ def test_one_sweep_tabulates_each_hop_once_whatever_its_rounds(monkeypatch, scen
     monkeypatch.setattr(LawTable, "saturation", counting_saturation)
     monkeypatch.setattr(LinkTable, "cdf", counting_cdf)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
-    mimo_n3 = [scenario.link_at(hop1_db, db) for hop1_db in scenario.hop1_snr_db
+    mimo_n3 = [link_at(scenario.link, hop1_db, db) for hop1_db in scenario.hop1_snr_db
                for db in scenario.sweep.values().tolist()]
     for links in (mimo_n3, _mimo_n2_links(scenario_dir, 360)):
         built.clear()
@@ -530,7 +530,7 @@ def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
     monkeypatch.setattr(numerics_module, "_apply_rule", counting_rule)
     scenario = load_scenario(scenario_dir / "mimo_n3.scenario")
     assert [mod.label for mod in scenario.modulations] == ["BPSK", "PSK8", "PSK16"]
-    ser = ser_sweep([scenario.link_at(2.0, db) for db in scenario.sweep.values()],
+    ser = ser_sweep([link_at(scenario.link, 2.0, db) for db in scenario.sweep.values()],
                     scenario.modulations)
     assert ser.shape == (3, 21) and np.isfinite(ser).all()
     assert len(calls) <= 7
