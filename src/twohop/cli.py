@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .diversity import effective_distribution
 from .fading import LawTable
-from .montecarlo import (_LINK_STREAM_HOP1, _LINK_STREAM_HOP2, McRun, empirical_cdf, mc_ser,
-                         simulate_hop, sweep_eq_samples)
+from .montecarlo import (McRun, empirical_cdf, mc_ser, simulate_end_to_end, simulate_link,
+                         sweep_eq_samples)
 from .numerics import DEFAULT_CDF_TOL, DEFAULT_SER_TOL
 from .relay import Combiner, LinkScenario, end_to_end_cdf_grid, equivalent_snr
 from .scenario import (MAX_ABS_DB, MAX_ANTENNAS, MAX_FADING_FIGURE, MAX_MC_SAMPLES,
@@ -270,28 +270,23 @@ def _parse_grid(spec: str | None) -> np.ndarray | None:
     return points
 
 
-def _cdf_table(args, scenario: Scenario, tol: float, seed: int, samples: int, grid, n_hop=0):
-    """The end-to-end CDF table of the operating point, for cdf and validate.
-
-    Returns the link, its hop laws, the first ``n_hop`` of ``samples`` MC draws of
-    each hop (the streams of ``simulate_end_to_end``), the ``samples`` draws
-    of their eq, the grid, and the analytic and empirical CDF columns on it.  Without
-    a ``grid``, 50 points span [0, top], top being the smaller of the two hops' points
-    above which at most ``GRID_TAIL_MASS`` of the hop's mass lies.  eq <= min(g1, g2),
-    so top bounds eq's quantile at 1 - ``GRID_TAIL_MASS`` from above, and the grid
-    follows from the laws alone.
-    """
+def _operating_point(scenario: Scenario):
+    """The link at the first hop-1 mean and at hop2_snr_db, and its two hop laws."""
     link = link_at(scenario.link, scenario.hop1_snr_db[0], scenario.hop2_snr_db)
-    laws = effective_distribution(link.hop1), effective_distribution(link.hop2)
-    run = McRun(seed, samples, args.threads)
-    hops = (simulate_hop(link.hop1, run, stream=_LINK_STREAM_HOP1),
-            simulate_hop(link.hop2, run, stream=_LINK_STREAM_HOP2))
-    eq = equivalent_snr(*hops, link.combiner)
-    hops = [g[:n_hop].copy() for g in hops]  # the rest is freed before eq is sorted
+    return link, (effective_distribution(link.hop1), effective_distribution(link.hop2))
+
+
+def _cdf_columns(laws, combiner: Combiner, eq: np.ndarray, grid, tol: float):
+    """The grid, and the analytic and the empirical (of ``eq``) end-to-end CDF on it.
+
+    Without a ``grid``, 50 points span [0, top], top being the smaller of the two
+    hops' points above which at most ``GRID_TAIL_MASS`` of the hop's mass lies.
+    eq <= min(g1, g2), so top bounds eq's quantile at 1 - ``GRID_TAIL_MASS`` from
+    above, and the grid follows from the laws alone.
+    """
     if grid is None:
         grid = np.linspace(0.0, float(np.min(LawTable(laws).saturation(GRID_TAIL_MASS))), 50)
-    analytical = end_to_end_cdf_grid(*laws, grid, link.combiner, tol)
-    return link, laws, hops, eq, grid, analytical, empirical_cdf(eq, grid)
+    return grid, end_to_end_cdf_grid(*laws, grid, combiner, tol), empirical_cdf(eq, grid)
 
 
 def cmd_cdf(args) -> int:
@@ -299,8 +294,10 @@ def cmd_cdf(args) -> int:
     tol = _outer_tol(args, DEFAULT_CDF_TOL)
     seed, samples = _mc_settings(args, scenario.mc_seed,
                                  scenario.mc_samples or DEFAULT_CDF_MC_SAMPLES)
-    _, _, _, _, grid, analytical, empirical = _cdf_table(args, scenario, tol, seed, samples,
-                                                         _parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
+    link, laws = _operating_point(scenario)
+    eq = simulate_end_to_end(link, McRun(seed, samples, args.threads))
+    grid, analytical, empirical = _cdf_columns(laws, link.combiner, eq, grid, tol)
 
     lines = _meta("cdf", scenario, tol, seed, samples)
     lines.append(f"# hop1_snr_db: {scenario.hop1_snr_db[0]:g}  "
@@ -318,10 +315,13 @@ def cmd_cdf(args) -> int:
 # validate
 
 def _ks_distance(samples: np.ndarray, cdf) -> float:
+    """The KS distance of ``samples`` from ``cdf``, from one array d = (1..n)/n - F at the
+    sorted samples: D+ = max d and D- = 1/n - min d."""
     values = np.asarray(cdf(np.sort(samples)))
     n = values.size
-    steps = np.arange(1, n + 1) / n
-    return float(max(np.max(steps - values), np.max(values - steps + 1.0 / n)))
+    d = np.arange(1, n + 1) / n
+    d -= values
+    return float(max(np.max(d), 1.0 / n - np.min(d)))
 
 
 def _dkw(n: int) -> float:
@@ -345,13 +345,17 @@ def cmd_validate(args) -> int:
     # validate sizes its runs by its own defaults, not by the scenario's mc_samples
     seed, n_big = _mc_settings(args, scenario.mc_seed, VALIDATE_CDF_SAMPLES)
     n_ks = args.samples if args.samples is not None else VALIDATE_KS_SAMPLES
-    link, laws, hops, eq, _, analytical, empirical = _cdf_table(args, scenario, tol, seed,
-                                                                n_big, None, n_ks)
+    link, laws = _operating_point(scenario)
+    draws = simulate_link(link, McRun(seed, n_big, args.threads))
 
     # (label, observed, limit) of each check.  The KS checks read the first n_ks
-    # draws behind eq, a known reuse that leaves each check's limit valid.
-    checks = [(f"hop{i} law KS distance (n={n_ks})", _ks_distance(draws, law.cdf),
-               _dkw(n_ks)) for i, (draws, law) in enumerate(zip(hops, laws), start=1)]
+    # draws behind eq, a known reuse that leaves each check's limit valid.  They run
+    # before eq is formed, so that the hop draws are freed before eq is sorted.
+    checks = [(f"hop{i} law KS distance (n={n_ks})", _ks_distance(g[:n_ks], law.cdf),
+               _dkw(n_ks)) for i, (g, law) in enumerate(zip(draws, laws), start=1)]
+    eq = equivalent_snr(*draws, link.combiner)
+    del draws
+    _, analytical, empirical = _cdf_columns(laws, link.combiner, eq, None, tol)
     checks.append((f"end-to-end CDF max deviation (n={n_big})",
                    float(np.max(np.abs(analytical - empirical))), _dkw(n_big)))
     ser_tol = _outer_tol(args, DEFAULT_SER_TOL)

@@ -35,6 +35,7 @@ from .ser import PskModulation, conditional_sep
 __all__ = [
     "McRun",
     "simulate_hop",
+    "simulate_link",
     "simulate_end_to_end",
     "empirical_cdf",
     "mc_ser",
@@ -93,20 +94,6 @@ def _map_chunks(run: McRun, job) -> list:
         return [job(*span) for span in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda span: job(*span), spans))
-
-
-def _run_chunked(run: McRun, stream: int, fill_chunk) -> np.ndarray:
-    """Fill an n_samples array chunk by chunk; layout independent of workers.
-
-    ``fill_chunk(rng, out)`` writes one chunk's values into the slice ``out``.
-    """
-    out = np.empty(run.n_samples, dtype=float)
-
-    def fill(index, start, stop):
-        fill_chunk(_chunk_rng(run.master_seed, stream, index), out[start:stop])
-
-    _map_chunks(run, fill)
-    return out
 
 
 def _hop_chunk(cfg: HopConfig, rng: np.random.Generator, n: int,
@@ -195,15 +182,22 @@ def _gamma_draws(rng: np.random.Generator, shape: float, theta: float, out: np.n
 
 
 def simulate_hop(cfg: HopConfig, run: McRun, stream: int = _HOP_STREAM) -> np.ndarray:
-    """Effective hop SNR samples (length run.n_samples)."""
-    return _run_chunked(run, stream, lambda rng, out: _hop_chunk(cfg, rng, len(out), out))
+    """Effective hop SNR samples (length run.n_samples), laid out alike for any worker count."""
+    out = np.empty(run.n_samples)
+    _map_chunks(run, lambda index, start, stop: _hop_chunk(
+        cfg, _chunk_rng(run.master_seed, stream, index), stop - start, out[start:stop]))
+    return out
+
+
+def simulate_link(link: LinkScenario, run: McRun) -> tuple[np.ndarray, np.ndarray]:
+    """The two hop draws (g1, g2) of a link simulation, each on its own link stream."""
+    return (simulate_hop(link.hop1, run, stream=_LINK_STREAM_HOP1),
+            simulate_hop(link.hop2, run, stream=_LINK_STREAM_HOP2))
 
 
 def simulate_end_to_end(scenario: LinkScenario, run: McRun) -> np.ndarray:
     """Samples of the end-to-end equivalent SNR with independent hops."""
-    g1 = simulate_hop(scenario.hop1, run, stream=_LINK_STREAM_HOP1)
-    g2 = simulate_hop(scenario.hop2, run, stream=_LINK_STREAM_HOP2)
-    return equivalent_snr(g1, g2, scenario.combiner)
+    return equivalent_snr(*simulate_link(scenario, run), scenario.combiner)
 
 
 def empirical_cdf(samples, grid) -> np.ndarray:

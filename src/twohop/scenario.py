@@ -75,7 +75,7 @@ MAX_ABS_DB = 1000.0
 MAX_ANTENNAS = 64
 MAX_FADING_FIGURE = 100.0
 # Largest Monte-Carlo sample count: cdf and validate hold every sample in
-# memory; on mimo_n3 at this count they peak at 360 MB and 523 MB RSS.
+# memory; on mimo_n3 at this count they peak at 360 MB and 447 MB RSS.
 MAX_MC_SAMPLES = 10**7
 _COMMON_KEYS = {
     "name", "case", "m", "hop1_m", "hop2_m", "hop1_snr_db", "hop2_sweep_db",
@@ -253,8 +253,8 @@ def _build(pairs: dict[str, str], fallback_name: str) -> Scenario:
     m_shared = _get_float(pairs, "m", default=1.0)
     m1 = _get_float(pairs, "hop1_m", default=m_shared)
     m2 = _get_float(pairs, "hop2_m", default=m_shared)
-    for field, m in (("hop1_m", m1), ("hop2_m", m2)):
-        check_range(m, 0.5, MAX_FADING_FIGURE, field if field in pairs else "m")
+    for field, m in (("m", m_shared), ("hop1_m", m1), ("hop2_m", m2)):
+        check_range(m, 0.5, MAX_FADING_FIGURE, field)
 
     if case == "CUSTOM":
         hop1 = _custom_hop(pairs, "hop1", m1)

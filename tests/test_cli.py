@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -329,6 +330,26 @@ def test_validate_checks_the_ser_in_the_deep_tail(tmp_path):
         assert 0.0 < threshold < math.inf
 
 
+def test_validate_peak_memory_stays_near_cdf(scenario_dir, tmp_path):
+    """validate holds two hop draws and its KS temporaries, about 5n doubles, and no
+    hop copies; cdf holds the two draws and eq's two arrays, 4n.
+
+    At 10^6 samples on mimo_n3 the traced peaks measured 40.1 and 32.1 MB (1.25);
+    with prefix copies of the hop draws validate peaked at 48.1 MB (1.50).
+    """
+    def peak(command):
+        tracemalloc.start()
+        try:
+            code, _ = run_main([command, "--scenario", str(scenario_dir / "mimo_n3.scenario"),
+                                "--samples", "1000000", "--out", str(tmp_path / command)])
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("validate") <= 1.3 * peak("cdf")
+
+
 def test_a_scenario_that_is_not_utf8_exits_two(tmp_path):
     path = tmp_path / "latin1.scenario"
     path.write_bytes(b"name = caf\xe9\ncase = MIMO_MIMO\n")
@@ -567,6 +588,8 @@ def _mini_scenario(path, overrides):
     (dict(hop2_snr_db="inf"), "hop2_snr_db"),
     (dict(m="1e308"), "m"),                         # above MAX_FADING_FIGURE
     (dict(hop2_m="1e308"), "hop2_m"),
+    (dict(m="nan", hop1_m="1", hop2_m="2"), "m"),   # overridden on both hops, still checked
+    (dict(m="-5", hop1_m="1", hop2_m="2"), "m"),
     pytest.param(dict(n_s=str(10 ** 400)), "n_s", id="n_s=1e400"),
     (dict(hop2_sweep_db="3080:3080:1"), "hop2_sweep_db"),  # above MAX_ABS_DB
     (dict(hop1_snr_db="1600", hop2_sweep_db="1600:1600:1"), "hop1_snr_db"),

@@ -16,6 +16,7 @@ from twohop.montecarlo import (
     mc_ser,
     simulate_end_to_end,
     simulate_hop,
+    simulate_link,
     sweep_eq_samples,
 )
 from twohop.relay import Combiner, LinkScenario, end_to_end_cdf_grid, equivalent_snr
@@ -189,6 +190,15 @@ def test_end_to_end_determinism_and_agreement():
     run = McRun(2024, 200_000, 4)
     eq = simulate_end_to_end(LINK, run)
     assert np.array_equal(eq, simulate_end_to_end(LINK, McRun(2024, 200_000, 1)))
+    # A link simulation is its two hop draws on the link streams, combined.
+    for workers in (1, 4):
+        each = McRun(2024, 200_000, workers)
+        g1, g2 = simulate_link(LINK, each)
+        assert np.array_equal(g1, simulate_hop(LINK.hop1, each,
+                                               stream=montecarlo._LINK_STREAM_HOP1))
+        assert np.array_equal(g2, simulate_hop(LINK.hop2, each,
+                                               stream=montecarlo._LINK_STREAM_HOP2))
+        assert np.array_equal(eq, equivalent_snr(g1, g2, LINK.combiner))
     d1 = effective_distribution(LINK.hop1)
     d2 = effective_distribution(LINK.hop2)
     grid = np.linspace(0.0, float(np.quantile(eq, 0.999)), 30)

@@ -159,6 +159,10 @@ def test_sweep_point_cap():
     (dict(mc_seed="soon"), "mc_seed"),
     (dict(mc_samples="0"), "mc_samples"),
     (dict(hop2_sweep_db="0:2500:0.25"), "hop2_sweep_db"),   # 10,001 points
+    # m is checked even where both hops override it
+    (dict(m="nan", hop1_m="1", hop2_m="2"), "m"),
+    (dict(m="-5", hop1_m="1", hop2_m="2"), "m"),
+    (dict(m="1e9", hop1_m="1", hop2_m="2"), "m"),
 ])
 def test_invalid_inputs_name_the_field(overrides, field):
     with pytest.raises(ScenarioError) as info:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from twohop.diversity import CombiningScheme, HopConfig, effective_distribution
@@ -26,6 +28,7 @@ from twohop.ser import (
 BPSK = PskModulation(2)
 PSK8 = PskModulation(8)
 PSK16 = PskModulation(16)
+MODS_ALL = (BPSK, PSK8, PSK16)
 
 
 def any_owner(cdf):
@@ -543,3 +546,62 @@ def test_quantile_spot_check_against_conditional_sep():
     g0 = 4.77476785304162
     assert math.isclose(BPSK.a * gaussian_q(math.sqrt(2.0 * BPSK.b * g0)),
                         1e-3, rel_tol=1e-9)
+
+
+def _whole_box_link(draw) -> LinkScenario:
+    """A link anywhere in the box: any schemes, m in [0.5, 5], 1-4 antennas a node,
+    hop means in -10...50 dB.  MRC has one transmit and STBC one receive antenna."""
+    schemes = [draw(st.sampled_from(list(CombiningScheme))) for _ in range(2)]
+    antennas = st.integers(1, 4)
+    relay = (1 if CombiningScheme.STBC is schemes[0] or CombiningScheme.MRC is schemes[1]
+             else draw(antennas))
+    source = 1 if schemes[0] is CombiningScheme.MRC else draw(antennas)
+    destination = 1 if schemes[1] is CombiningScheme.STBC else draw(antennas)
+    hops = [HopConfig(n_tx, n_rx, draw(st.floats(0.5, 5.0)),
+                      10.0 ** (draw(st.floats(-10.0, 50.0)) / 10.0), scheme)
+            for n_tx, n_rx, scheme in ((source, relay, schemes[0]),
+                                       (relay, destination, schemes[1]))]
+    return LinkScenario(*hops)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(data=st.data())
+def test_exact_orderings_hold_across_the_box(data):
+    """Four relations that hold exactly on every link, checked to 2 tol relative:
+
+    * SER is nonincreasing in each hop's mean: eq is nondecreasing in each hop SNR;
+    * SER with the exact combiner is at least SER with the harmonic one;
+    * BPSK <= PSK8 <= PSK16;
+    * on a non-TAS hop, SER is nonincreasing in m at a fixed mean: a Gamma law of
+      fixed mean falls in convex order as its shape grows, and SEP(eq) is convex in
+      each hop SNR (Shaked & Shanthikumar 2007, 3.A).  A maximum is not convex, so
+      TAS hops are left out.
+    """
+    base = _whole_box_link(data.draw)
+    gain = 10.0 ** (data.draw(st.floats(0.1, 10.0), label="mean step dB") / 10.0)
+    dm = data.draw(st.floats(0.05, 2.0), label="m step")
+    # Each entry: (a link whose SER is at most the base link's, what it changes).
+    better = []
+    for name in ("hop1", "hop2"):
+        hop = getattr(base, name)
+        raised = [(replace(hop, mean_branch_snr=hop.mean_branch_snr * gain), "mean")]
+        if hop.scheme is not CombiningScheme.TAS_MRC:
+            raised.append((replace(hop, m=hop.m + dm), "m"))
+        better += [(replace(base, **{name: h}), f"{name} {what}") for h, what in raised]
+    tol = 1e-7
+    links = [base] + [link for link, _ in better]
+
+    def at_most(low, high, what):
+        assert not (math.isnan(low) or math.isnan(high)), what
+        assert low <= high + 2.0 * tol * max(low, high), (what, low, high)
+
+    ser = {c: ser_sweep([replace(link, combiner=c) for link in links], MODS_ALL, tol)
+           for c in Combiner}
+    for c, table in ser.items():
+        for i, mod in enumerate(MODS_ALL):
+            for j, (_, what) in enumerate(better, start=1):
+                at_most(table[i, j], table[i, 0], f"{c.value} {mod.label}: {what}")
+            if i:
+                at_most(table[i - 1, 0], table[i, 0], f"{c.value} {mod.label} order")
+    for i, mod in enumerate(MODS_ALL):
+        at_most(ser[Combiner.HARMONIC][i, 0], ser[Combiner.EXACT][i, 0], f"{mod.label} combiner")
