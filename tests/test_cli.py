@@ -538,8 +538,8 @@ def test_compare_cases_work_stays_within_its_counted_budget(monkeypatch, tmp_pat
     code, _ = run_main(["compare-cases", "--n", "3", "--modulations", "BPSK,PSK8,PSK16",
                         "--out", str(tmp_path / "cmp.csv")])
     assert code == 0
-    assert len(calls) <= 7
-    assert sum(intervals) <= 24_788
+    assert len(calls) <= 6
+    assert sum(intervals) <= 24_552
 
 
 @pytest.mark.parametrize("argv, field", [

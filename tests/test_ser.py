@@ -248,6 +248,22 @@ def test_ser_below_the_smallest_double_is_a_converged_zero():
     assert ser_sweep([link], [BPSK, PSK8, PSK16]).tolist() == [[0.0], [0.0], [0.0]]
 
 
+# BPSK SERs of STBC_MRC n x n links, m = 1, exact combiner, both hop means at
+# the given dB: bench/reference.py's ClosedForm with its DPS set to 60, as
+# ClosedForm(hop, hop, db, db, "exact").ser(["BPSK"], 1e-7) with
+# hop = Hop("STBC_MRC", n, n, 1.0).  The floor sets the inner tolerance here.
+@pytest.mark.parametrize("n, db, reference", [
+    (2, 40.0, 4.3782707941105177e-16),
+    (3, 20.0, 4.058263024380495e-15),
+    (3, 30.0, 3.6867636606079994e-24),
+    (4, 20.0, 6.887617671789012e-24),
+])
+def test_deep_tail_ser_matches_the_closed_form(n, db, reference):
+    hop = HopConfig(n, n, 1.0, 1.0, CombiningScheme.STBC_MRC)
+    ser = ser_sweep([link_at(LinkScenario(hop, hop), db, db)], [BPSK], tol=1e-7)[0, 0]
+    assert abs(ser - reference) <= 1e-7 * reference, ser
+
+
 def test_stuck_integrand_leaves_the_rest_of_the_batch_alone(monkeypatch):
     import twohop.ser as ser_module
 
@@ -320,16 +336,24 @@ def test_inner_cdf_failure_fails_only_the_integrals_that_ask_for_it(monkeypatch,
             assert np.array_equal(alone[0, 0], ser[i, j], equal_nan=True), (mod.label, db)
 
 
-@pytest.mark.parametrize("link", [
-    _mimo3_link(),
-    LinkScenario(HopConfig(2, 3, 1.5, 1.0, CombiningScheme.TAS_MRC),
-                 HopConfig(3, 2, 0.5, 1.0, CombiningScheme.TAS_MRC)),
-    _tas_harmonic_link(),
-], ids=["mimo", "tas", "harmonic"])
-def test_inner_floor_is_at_most_twice_every_ser_over_a(link):
+@pytest.mark.parametrize("link, hop1_db, grid", [
+    (_mimo3_link(), 3.0, [0.0, 20.0, 40.0]),
+    (LinkScenario(HopConfig(2, 3, 1.5, 1.0, CombiningScheme.TAS_MRC),
+                  HopConfig(3, 2, 0.5, 1.0, CombiningScheme.TAS_MRC)), 3.0, [0.0, 20.0, 40.0]),
+    (_tas_harmonic_link(), 3.0, [0.0, 20.0, 40.0]),
+    # Corners of the box, at means where the BPSK SER stays above 1e-250.
+    (LinkScenario(HopConfig(64, 1, 0.5, 1.0, CombiningScheme.TAS_MRC),
+                  HopConfig(1, 64, 0.5, 1.0, CombiningScheme.MRC), Combiner.HARMONIC),
+     50.0, [-10.0, 20.0, 50.0]),
+    (LinkScenario(HopConfig(64, 64, 100.0, 1.0, CombiningScheme.TAS_MRC),
+                  HopConfig(64, 1, 100.0, 1.0, CombiningScheme.STBC)), 0.0, [-10.0, 10.0, 50.0]),
+    (LinkScenario(HopConfig(1, 1, 0.5, 1.0, CombiningScheme.MRC),
+                  HopConfig(1, 64, 100.0, 1.0, CombiningScheme.MRC)), -10.0, [-10.0, 20.0, 50.0]),
+], ids=["mimo", "tas", "harmonic", "tas64x1-mrc1x64", "tas64x64-stbc64x1", "mrc-mrc1x64"])
+def test_inner_floor_is_at_most_twice_every_ser_over_a(link, hop1_db, grid):
     # The floor lets an inner CDF stop at an error of tol * floor, which is
     # tol * SER at most after the outer kernel only if floor <= 2 * SER / a.
-    links = links_at(link, 3.0, [0.0, 20.0, 40.0])
+    links = links_at(link, hop1_db, grid)
     mods = (BPSK, PSK8, PSK16)
     ser = ser_sweep(links, mods)
     floor = _inner_floor([effective_distribution(x.hop1) for x in links],
@@ -337,6 +361,9 @@ def test_inner_floor_is_at_most_twice_every_ser_over_a(link):
     assert np.all(floor > 1e-300)
     for mod, row in zip(mods, ser):
         assert np.all(floor <= 2.0 * row / mod.a), mod.label
+    # F1 + F2 - F1*F2 rises at the weaker hop's SNR and F_eq lower, at eq, so
+    # the floor is loosest where both hops are sharp; these links read 0.19-0.96.
+    assert np.all(floor >= 0.1 * 2.0 * ser[0]), floor / (2.0 * ser[0])
 
 
 def test_tas_harmonic_psk8_cell_agrees_with_monte_carlo():
@@ -403,10 +430,9 @@ def test_one_cdf_call_per_outer_round_and_no_gamma_asked_twice(monkeypatch, scen
         batches.clear()
         ser = ser_sweep(links, mods)
         assert ser.shape == (len(mods), len(links)) and np.isnan(ser).sum() == lost
-        # the inner floors' batch asks for no end-to-end CDF; the SER batch
-        # asks at most once a round
-        floor_rounds, calls_per_round = batches
-        assert not any(floor_rounds)
+        # the SER batch is the sweep's one quadrature batch (the inner floors
+        # are a fixed sum), and it asks at most once a round
+        calls_per_round, = batches
         assert set(calls_per_round) <= {0, 1} and requests
         assert len(calls_per_round) == rounds
         pairs = [pair for request in requests for pair in request]
@@ -536,8 +562,8 @@ def test_sweep_work_stays_within_its_counted_budget(monkeypatch, scenario_dir):
     ser = ser_sweep([link_at(scenario.link, 2.0, db) for db in scenario.sweep.values()],
                     scenario.modulations)
     assert ser.shape == (3, 21) and np.isfinite(ser).all()
-    assert len(calls) <= 7
-    assert sum(intervals) <= 11_886
+    assert len(calls) <= 6
+    assert sum(intervals) <= 11_814
 
 
 def test_quantile_spot_check_against_conditional_sep():
@@ -567,9 +593,11 @@ def _whole_box_link(draw) -> LinkScenario:
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(data=st.data())
 def test_exact_orderings_hold_across_the_box(data):
-    """Four relations that hold exactly on every link, checked to 2 tol relative:
+    """Five relations that hold exactly on every link, checked to 2 tol relative:
 
     * SER is nonincreasing in each hop's mean: eq is nondecreasing in each hop SNR;
+    * SER is nonincreasing in the TAS candidates of hop 1 and in the destination
+      branches of a non-STBC hop 2: each adds a nonnegative SNR or one more maximand;
     * SER with the exact combiner is at least SER with the harmonic one;
     * BPSK <= PSK8 <= PSK16;
     * on a non-TAS hop, SER is nonincreasing in m at a fixed mean: a Gamma law of
@@ -588,6 +616,12 @@ def test_exact_orderings_hold_across_the_box(data):
         if hop.scheme is not CombiningScheme.TAS_MRC:
             raised.append((replace(hop, m=hop.m + dm), "m"))
         better += [(replace(base, **{name: h}), f"{name} {what}") for h, what in raised]
+    if base.hop1.scheme is CombiningScheme.TAS_MRC:
+        better.append((replace(base, hop1=replace(base.hop1, n_tx=base.hop1.n_tx + 1)),
+                       "hop1 candidate"))
+    if base.hop2.scheme is not CombiningScheme.STBC:
+        better.append((replace(base, hop2=replace(base.hop2, n_rx=base.hop2.n_rx + 1)),
+                       "hop2 branch"))
     tol = 1e-7
     links = [base] + [link for link, _ in better]
 
