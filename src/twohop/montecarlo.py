@@ -2,12 +2,14 @@
 
 Each hop SNR is drawn straight from the Gamma law that its combining
 scheme gives a sum of i.i.d. Nakagami-m branch SNRs: one variate per
-sample, or one per transmit antenna under TAS; a variate of integer
-shape 2 to 5 is drawn as an Erlang variate from that many uniforms, any
-other with ``Generator.gamma``.  The shapes and the convention factors
-are worked out here from the ``HopConfig`` fields, not taken from
-``diversity``, so the simulation stays an independent check of the
-antenna conventions that the analytic laws encode.
+sample, or one per transmit antenna under TAS.  Three samplers share the
+work by shape: integer shapes 2 to 5 are Erlang variates from that many
+uniforms, shape 1/2 (one Nakagami-m = 1/2 branch) is theta Z^2 / 2 from
+one standard normal, and any other shape calls ``Generator.standard_gamma``.
+The shapes and the convention factors are worked out here from the
+``HopConfig`` fields, not taken from ``diversity``, so the simulation
+stays an independent check of the antenna conventions that the analytic
+laws encode.
 
 Sampling is organized in fixed-size chunks; chunk i draws from a fresh
 generator seeded by SeedSequence((master_seed, stream, i)).  Workers only
@@ -52,10 +54,10 @@ _LINK_STREAM_HOP2 = 2
 # variate on one Xeon core (NumPy 2.4), rng.gamma takes 23 ns at shapes 2-7;
 # the Erlang draw takes 8, 11, 15 and 19 ns at k = 2..5, and 22 ns at k = 6.
 _ERLANG_MAX_SHAPE = 5
-# Uniforms in one row block of an Erlang draw (256 KB).  A 512 KB block
-# was slower: freed with its output, glibc returned it to the kernel and
-# the next draw faulted its pages in again.
-_ERLANG_BLOCK = 1 << 15
+# Values in one row block of an Erlang or TAS draw (256 KB).  A 512 KB
+# block was slower: freed with its output, glibc returned it to the kernel
+# and the next draw faulted its pages in again.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ def _hop_chunk(cfg: HopConfig, rng: np.random.Generator, n: int,
     * TAS_MRC takes the largest of n_tx independent n_rx-branch MRC sums.
 
     ``_gamma_draws`` picks the sampler from the summed shape: an Erlang
-    variate for an integer shape from 2 to ``_ERLANG_MAX_SHAPE``, else
-    ``rng.gamma``.
+    variate for an integer shape from 2 to ``_ERLANG_MAX_SHAPE``, theta Z^2 / 2
+    at shape 1/2 (a single m = 1/2 branch: MRC, STBC or STBC_MRC 1x1, or
+    TAS n x 1), else ``rng.standard_gamma``, bit for bit ``rng.gamma``.
     """
     out = np.empty(n) if out is None else out
     theta = cfg.mean_branch_snr / cfg.m
@@ -135,35 +138,59 @@ def _gamma_draws(rng: np.random.Generator, shape: float, theta: float, out: np.n
                  width: int = 1) -> None:
     """Fill ``out`` with Gamma(shape, theta) variates, or the largest of each row of ``width``.
 
-    An integer shape k in [2, _ERLANG_MAX_SHAPE] is an Erlang law, drawn as
-    -theta log prod(1 - U_i) over k uniforms (Devroye 1986, IX.3); 1 - U
-    lies in (0, 1], so the log is finite.  Variate i of the row-major
-    (n, width) layout takes uniforms i*k ... i*k + k - 1, so the first
-    variates of a longer draw are those of a shorter one.  The uniforms
-    come in row blocks of at most ``_ERLANG_BLOCK`` and at most
-    n * max(1, width - 1) / 2 values: a block holds less memory than the
-    n variates of rng.gamma at width 1, and with ``out`` less than its
-    (n, width) array at width > 1.
+    Three samplers, by shape, each reading its generator in the row-major
+    order of the (n, width) variates, so that the first variates of a
+    longer draw are those of a shorter one:
 
-    Every other shape gives rng.gamma's values bit for bit: at width 1
-    through rng.standard_gamma, of which rng.gamma(shape, theta) is theta
-    times, so that it can draw into ``out``.
+    * an integer shape k in [2, _ERLANG_MAX_SHAPE] is an Erlang law, drawn
+      as -theta log prod(1 - U_i) over k uniforms (Devroye 1986, IX.3);
+      1 - U lies in (0, 1], so the log is finite.  Variate i takes
+      uniforms i*k ... i*k + k - 1;
+    * shape 1/2 is theta Z^2 / 2 with Z standard normal, since Z^2 is
+      chi-squared with one degree of freedom, Gamma(1/2, 2);
+    * every other shape gives rng.gamma's values bit for bit, through
+      rng.standard_gamma, of which rng.gamma(shape, theta) is theta times.
+
+    Under TAS (width > 1) the variates come in row blocks of at most
+    ``_BLOCK`` and at most n * (width - 1) / 2 values, so that a block and
+    ``out`` together hold less memory than rng.gamma's (n, width) array;
+    theta scales each row maximum once, and theta max(x) = max(theta x)
+    since rounding is monotone.  At width 1 the Erlang uniforms come in
+    blocks of the same budget, and the other two samplers draw into ``out``.
     """
     n = len(out)
+    budget = min(n * max(1, width - 1) // 2, _BLOCK)
     if shape != int(shape) or not 2 <= shape <= _ERLANG_MAX_SHAPE:
+        half = shape == 0.5
         if width == 1:
-            rng.standard_gamma(shape, out=out)
+            if half:
+                rng.standard_normal(out=out)
+            else:
+                rng.standard_gamma(shape, out=out)
+        else:
+            rows = max(1, budget // width)
+            block = np.empty((rows, width))
+            for start in range(0, n, rows):
+                x = block[:min(rows, n - start)]
+                if half:
+                    # Z^2 grows with |Z|, so a row takes its maximum before squaring.
+                    np.abs(rng.standard_normal(out=x), out=x)
+                else:
+                    rng.standard_gamma(shape, out=x)
+                row_max = out[start:start + len(x)]
+                # One np.maximum per column, since a max over the short axis costs
+                # many times more per sample; max is exact in any order.
+                np.maximum(x[:, 0], x[:, 1], out=row_max)
+                for col in range(2, width):
+                    np.maximum(row_max, x[:, col], out=row_max)
+        if half:
+            np.square(out, out=out)
+            out *= theta / 2
+        else:
             out *= theta
-            return
-        # One np.maximum per column, since a max over the short axis costs
-        # many times more per sample; max is exact in any order.
-        draws = rng.gamma(shape, theta, (n, width))
-        np.maximum(draws[:, 0], draws[:, 1], out=out)
-        for col in range(2, width):
-            np.maximum(out, draws[:, col], out=out)
         return
     k = int(shape)
-    rows = max(1, min(n * max(1, width - 1) // 2, _ERLANG_BLOCK) // (width * k))
+    rows = max(1, budget // (width * k))
     block = np.empty((rows, width, k))
     for start in range(0, n, rows):
         u = rng.random(out=block[:min(rows, n - start)])

@@ -154,6 +154,29 @@ def test_criterion_3_ser_vs_mc(reference):
     assert not failures, "; ".join(failures)
 
 
+def test_criterion_3_holds_on_shape_half_hops():
+    """MC SER meets the analytic SER where every hop variate is theta Z^2 / 2.
+
+    TAS 3x1 into MRC 1x1 at m = 1/2: each TAS candidate and the MRC hop
+    are single m = 1/2 branches, Gamma(1/2).  The SERs lie above 1e-3,
+    where the MC halfwidth covers, so each estimate must sit within
+    three standard errors (1.53 halfwidths) of the analytic value.
+    """
+    template = LinkScenario(HopConfig(3, 1, 0.5, 1.0, CombiningScheme.TAS_MRC),
+                            HopConfig(1, 1, 0.5, 1.0, CombiningScheme.MRC))
+    grid = (0.0, 10.0, 20.0)
+    links = [link_at(template, 5.0, db) for db in grid]
+    analytic = ser_sweep(links, MODS, tol=1e-7)
+    failures = []
+    for j, estimates in enumerate(sweep_eq_samples(links, MODS, McRun(5150, 1_000_000, 4))):
+        for i, (mod, (estimate, halfwidth)) in enumerate(zip(MODS, estimates)):
+            assert analytic[i, j] > 1e-3
+            z = (estimate - analytic[i, j]) / (halfwidth / 1.96)
+            if not abs(z) <= 3.0:
+                failures.append(f"{mod.label} @ {grid[j]:g} dB: z = {z:.2f}")
+    assert not failures, "; ".join(failures)
+
+
 @criterion(4, "degenerate CDFs reproduce exact kernel values")
 def test_criterion_4_degenerate_values():
     failures = []

@@ -24,6 +24,8 @@ from twohop.scenario import link_at
 from twohop.ser import PskModulation, conditional_sep
 
 HOP = HopConfig(3, 2, 1.0, 2.0, CombiningScheme.TAS_MRC)
+# Shape 1/2 per candidate: drawn from normals, not rng.gamma
+HALF_TAS = HopConfig(3, 1, 0.5, 2.0, CombiningScheme.TAS_MRC)
 LINK = LinkScenario(HopConfig(2, 2, 1.0, 2.0, CombiningScheme.STBC_MRC),
                     HopConfig(2, 1, 1.0, 4.0, CombiningScheme.STBC))
 BPSK = PskModulation(2)
@@ -42,9 +44,10 @@ def test_run_validation():
 
 def test_worker_count_never_changes_samples():
     # 150k samples span three chunks, so scheduling actually interleaves
-    reference = simulate_hop(HOP, McRun(7, 150_000, 1))
-    for workers in (2, 5, 8):
-        assert np.array_equal(reference, simulate_hop(HOP, McRun(7, 150_000, workers)))
+    for cfg in (HOP, HALF_TAS):
+        reference = simulate_hop(cfg, McRun(7, 150_000, 1))
+        for workers in (2, 5, 8):
+            assert np.array_equal(reference, simulate_hop(cfg, McRun(7, 150_000, workers)))
 
 
 def test_pool_never_outgrows_the_machine(monkeypatch):
@@ -103,8 +106,14 @@ KS_CRITICAL = math.sqrt(-math.log(1e-6) / KS_SAMPLES)
     HopConfig(2, 2, 1.0, 0.6, CombiningScheme.STBC_MRC),
     HopConfig(3, 2, 1.0, 2.0, CombiningScheme.TAS_MRC),
     HopConfig(2, 2, 2.0, 3.5, CombiningScheme.TAS_MRC),
+    # shape 1/2, from normals
+    HopConfig(1, 1, 0.5, 2.0, CombiningScheme.MRC),
+    HopConfig(1, 1, 0.5, 0.8, CombiningScheme.STBC),
+    HopConfig(1, 1, 0.5, 1.6, CombiningScheme.STBC_MRC),
+    HALF_TAS,
 ], ids=["mrc-1x4", "stbc-4x1", "stbc_mrc-3x4", "tas-3x2", "tas-4x4", "mrc-1x2-m1",
-        "stbc-3x1-m1", "stbc_mrc-2x2-m1", "tas-3x2-m1", "tas-2x2-m2"])
+        "stbc-3x1-m1", "stbc_mrc-2x2-m1", "tas-3x2-m1", "tas-2x2-m2", "mrc-1x1-m0.5",
+        "stbc-1x1-m0.5", "stbc_mrc-1x1-m0.5", "tas-3x1-m0.5"])
 def test_hop_draws_match_a_per_branch_simulation(cfg):
     """A summed Gamma law per hop has the law of the branches it replaces."""
     drawn = simulate_hop(cfg, McRun(31, KS_SAMPLES))
@@ -132,6 +141,23 @@ def test_other_shapes_draw_rng_gamma_bit_for_bit(cfg, shape, split):
     assert np.array_equal(drawn, want)
 
 
+@pytest.mark.parametrize("cfg", [
+    HopConfig(1, 1, 0.5, 2.0, CombiningScheme.MRC),
+    HopConfig(1, 1, 0.5, 3.0, CombiningScheme.STBC_MRC),
+    HopConfig(2, 1, 0.5, 3.0, CombiningScheme.TAS_MRC),
+    HALF_TAS,
+    HopConfig(5, 1, 0.5, 0.4, CombiningScheme.TAS_MRC),
+], ids=["mrc-1x1", "stbc_mrc-1x1", "tas-2x1", "tas-3x1", "tas-5x1"])
+@pytest.mark.parametrize("n", [1, 3, 10_000, montecarlo._CHUNK])
+def test_shape_half_draws_are_theta_z_squared_over_two(cfg, n):
+    """theta Z^2 / 2 of the same generator's normals, the largest |Z| of a row under TAS."""
+    drawn = montecarlo._hop_chunk(cfg, np.random.default_rng(5), n)
+    width = cfg.n_tx if cfg.scheme is CombiningScheme.TAS_MRC else 1
+    z = np.random.default_rng(5).standard_normal((n, width))
+    theta = cfg.mean_branch_snr / cfg.m
+    assert np.array_equal(drawn, np.square(np.abs(z).max(axis=1)) * (theta / 2))
+
+
 def test_same_seed_reproduces_and_seeds_differ():
     a = simulate_hop(HOP, McRun(42, 30_000))
     b = simulate_hop(HOP, McRun(42, 30_000))
@@ -149,9 +175,10 @@ def test_streams_are_independent():
 def test_growing_a_run_keeps_its_prefix():
     # chunk-indexed substreams: extending n_samples must not disturb the
     # samples already drawn (70k and 80k share chunks 0 and 1)
-    short = simulate_hop(HOP, McRun(9, 70_000))
-    long = simulate_hop(HOP, McRun(9, 80_000, 4))
-    assert np.array_equal(short, long[:70_000])
+    for cfg in (HOP, HALF_TAS):
+        short = simulate_hop(cfg, McRun(9, 70_000))
+        long = simulate_hop(cfg, McRun(9, 80_000, 4))
+        assert np.array_equal(short, long[:70_000])
 
 
 def test_growing_an_erlang_run_keeps_its_prefix():
@@ -161,11 +188,7 @@ def test_growing_an_erlang_run_keeps_its_prefix():
     assert np.array_equal(short, long[:70_000])
 
 
-@pytest.mark.parametrize("cfg", [HopConfig(2, 2, 2.0, 1.0, CombiningScheme.TAS_MRC),
-                                 HopConfig(4, 2, 1.0, 1.0, CombiningScheme.TAS_MRC)],
-                         ids=["2x2-m2", "4x2-m1"])
-@pytest.mark.parametrize("n", [montecarlo._CHUNK, 10_000])
-def test_erlang_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n):
+def _assert_tas_draw_peaks_no_higher_than_rng_gamma(cfg: HopConfig, n: int):
     def peak(draw):
         tracemalloc.start()
         try:
@@ -176,6 +199,22 @@ def test_erlang_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n):
 
     gamma = peak(lambda rng: rng.gamma(cfg.m * cfg.n_rx, 1.0 / cfg.m, (n, cfg.n_tx)))
     assert peak(lambda rng: montecarlo._hop_chunk(cfg, rng, n)) <= gamma
+
+
+@pytest.mark.parametrize("cfg", [HopConfig(2, 2, 2.0, 1.0, CombiningScheme.TAS_MRC),
+                                 HopConfig(4, 2, 1.0, 1.0, CombiningScheme.TAS_MRC)],
+                         ids=["2x2-m2", "4x2-m1"])
+@pytest.mark.parametrize("n", [montecarlo._CHUNK, 10_000])
+def test_erlang_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n):
+    _assert_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n)
+
+
+@pytest.mark.parametrize("cfg", [HopConfig(2, 1, 0.5, 1.0, CombiningScheme.TAS_MRC), HALF_TAS,
+                                 HopConfig(3, 2, 0.75, 1.0, CombiningScheme.TAS_MRC)],
+                         ids=["2x1-m0.5", "3x1-m0.5", "3x2-m0.75"])
+@pytest.mark.parametrize("n", [montecarlo._CHUNK, 10_000])
+def test_normal_and_standard_gamma_tas_draws_peak_no_higher_than_rng_gamma(cfg, n):
+    _assert_tas_draw_peaks_no_higher_than_rng_gamma(cfg, n)
 
 
 def test_moments_equal_the_plain_expression_bit_for_bit():
